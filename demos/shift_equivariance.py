@@ -9,7 +9,7 @@ coordinates.
 
 import numpy as np
 
-from mirnet_forge.blocks import blur_pool, make_blur_weight
+from mirnet_forge.blocks import blur_pool
 from mirnet_forge.tensor import Tensor
 
 
@@ -28,7 +28,6 @@ def main():
     big = np.sin(0.9 * np.pi * yy)
     a = Tensor(big[:, :, :32, :].copy())
     b = Tensor(big[:, :, 1:, :].copy())  # the same signal, shifted 1 px down
-    w = make_blur_weight(1, np.float64)
 
     signal = rms(a.data)
     print("one-pixel input shift (not representable on the coarse grid),")
@@ -36,20 +35,20 @@ def main():
     print(f"  naive stride-2: "
           f"{100 * rms(naive_subsample(b) - naive_subsample(a)) / signal:.1f}%")
     print(f"  blur-pool:      "
-          f"{100 * rms(blur_pool(b, w).data - blur_pool(a, w).data) / signal:.1f}%")
+          f"{100 * rms(blur_pool(b).data - blur_pool(a).data) / signal:.1f}%")
 
     rng = np.random.default_rng(0)
     big = rng.normal(size=(1, 1, 18, 18))
     a = Tensor(big[:, :, :16, :16].copy())
     b = Tensor(big[:, :, 2:, 2:].copy())  # shifted 2 px
-    ba, bb = blur_pool(a, w).data, blur_pool(b, w).data
+    ba, bb = blur_pool(a).data, blur_pool(b).data
     print("\ntwo-pixel input shift = one output pixel; on the interior the")
     print("blur-pool outputs are bit-identical:",
           np.array_equal(bb[:, :, 1:-1, 1:-1], ba[:, :, 2:, 2:]))
 
     const = Tensor(np.full((1, 1, 8, 8), 0.37))
     print("\nconstant plane stays constant through blur-pool:",
-          np.allclose(blur_pool(const, w).data, 0.37, rtol=1e-14))
+          np.allclose(blur_pool(const).data, 0.37, rtol=1e-14))
 
 
 if __name__ == "__main__":

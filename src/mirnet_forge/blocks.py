@@ -112,30 +112,15 @@ class PReLU(Module):
         return T.prelu(x, self.slope)
 
 
-def _binomial_kernel(dtype):
-    k = np.array([1.0, 2.0, 1.0])
-    k = np.outer(k, k)
-    return (k / k.sum()).astype(dtype)
-
-
-def make_blur_weight(channels: int, dtype=np.float32) -> Tensor:
-    """Fixed depthwise 3x3 binomial filter embedded as a diagonal conv weight."""
-    w = np.zeros((channels, channels, 3, 3), dtype=dtype)
-    k = _binomial_kernel(dtype)
-    for c in range(channels):
-        w[c, c] = k
-    return Tensor(w)
-
-
-def blur_pool(x: Tensor, weight: Tensor | None = None) -> Tensor:
+def blur_pool(x: Tensor) -> Tensor:
     """Anti-aliased downsampling: 3x3 binomial blur then stride-2 subsampling.
 
     Edge-replicate padding keeps the blur a weighted average at the borders,
-    so constant planes stay constant after downsampling.
+    so constant planes stay constant after downsampling.  The blur is the
+    fixed depthwise [1, 2, 1] / 4 stencil applied separably, evaluated only
+    at the kept positions.
     """
-    if weight is None:
-        weight = make_blur_weight(x.data.shape[1], x.data.dtype)
-    return T.conv2d(T.replicate_pad1(x), weight, None, stride=2, padding=0)
+    return T.binomial_stride2(T.replicate_pad1(x))
 
 
 class SKFF(Module):
@@ -245,14 +230,13 @@ class ResizeDown(Module):
         self.conv2 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
         self.conv3 = Conv2d(channels, 2 * channels, 1, dtype=dtype, rng=rng)
         self.skip = Conv2d(channels, 2 * channels, 1, dtype=dtype, rng=rng)
-        self._blur = make_blur_weight(channels, dtype)
 
     def __call__(self, x):
         n, c, h, w = x.data.shape
         if h % 2 or w % 2:
             raise ShapeError(f"downsampling requires even extents, got {h}x{w}")
-        main = self.conv3(blur_pool(self.conv2(self.act(self.conv1(x))), self._blur))
-        return T.add(main, self.skip(blur_pool(x, self._blur)))
+        main = self.conv3(blur_pool(self.conv2(self.act(self.conv1(x)))))
+        return T.add(main, self.skip(blur_pool(x)))
 
 
 class ResizeUp(Module):

@@ -8,6 +8,7 @@ round trip is byte-identical for the same inputs.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -36,26 +37,37 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; any malformed or truncated field raises
+    CheckpointError naming its byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    pos = 4
+
+    def take(size, what):
+        nonlocal pos
+        if size > len(raw) - pos:
+            raise CheckpointError(
+                f"truncated {what} at byte {pos}: needs {size} bytes, "
+                f"{len(raw) - pos} left")
+        start, pos = pos, pos + size
+        return start
+
+    (version,) = struct.unpack_from("<I", raw, take(4, "version"))
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}")
-    pos = 8
     out: dict[str, np.ndarray] = {}
     while pos < len(raw):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(shape)
-        pos += 4 * count
-        out[name] = arr.copy()
+        (nlen,) = struct.unpack_from("<H", raw, take(2, "name length"))
+        start = take(nlen, "name")
+        try:
+            name = raw[start:pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"name at byte {start} is not UTF-8") from exc
+        (rank,) = struct.unpack_from("<B", raw, take(1, f"rank of {name!r}"))
+        shape = struct.unpack_from(f"<{rank}I", raw, take(4 * rank, f"extents of {name!r}"))
+        count = math.prod(shape)
+        start = take(4 * count, f"values of {name!r}")
+        out[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape).copy()
     return out

@@ -188,10 +188,11 @@ def _resample_matrix(in_len: int, out_len: int) -> np.ndarray:
     src = (np.arange(out_len) + 0.5) * in_len / out_len - 0.5
     base = np.floor(src).astype(np.int64)
     mat = np.zeros((out_len, in_len))
+    rows = np.arange(out_len)
     for tap in range(-1, 3):
         idx = np.clip(base + tap, 0, in_len - 1)
-        w = _keys_cubic(src - (base + tap))
-        np.add.at(mat, (np.arange(out_len), idx), w)
+        # one entry per row, so no index repeats within a tap
+        mat[rows, idx] += _keys_cubic(src - (base + tap))
     return mat
 
 

@@ -282,7 +282,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    # a pointwise kernel's column matrix is the input itself: no copy
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    if pointwise:
+        cols = x.data.reshape(n, cin, h * w)
+    else:
+        cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     w2 = weight.data.reshape(cout, -1)
     out = np.matmul(w2, cols)
     if bias is not None:
@@ -293,9 +298,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def back(g):
         g2 = g.reshape(n, cout, oh * ow)
-        gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape)
+        gw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(weight.data.shape)
         gcols = np.matmul(w2.T, g2)
-        gx = _col2im(gcols, x.data.shape, kh, kw, stride, padding, oh, ow)
+        if pointwise:
+            gx = gcols.reshape(x.data.shape)
+        else:
+            gx = _col2im(gcols, x.data.shape, kh, kw, stride, padding, oh, ow)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -367,54 +375,106 @@ def branch_softmax(logits: list[Tensor]) -> list[Tensor]:
     return outs
 
 
+def _along(axis, index):
+    """Index tuple selecting `index` on `axis` and everything on earlier axes."""
+    return (slice(None),) * axis + (index,)
+
+
+def _fold_edges(g, axis):
+    """Adjoint of replicating the first and last entry once along `axis`."""
+    gx = g[_along(axis, slice(1, -1))].copy()
+    gx[_along(axis, slice(0, 1))] += g[_along(axis, slice(0, 1))]
+    gx[_along(axis, slice(-1, None))] += g[_along(axis, slice(-1, None))]
+    return gx
+
+
 def replicate_pad1(x: Tensor) -> Tensor:
     """Pad H and W by one pixel on each side, replicating edge values."""
     if x.data.ndim != 4:
         raise ShapeError(f"expected NCHW input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
-    iy = np.concatenate([[0], np.arange(h), [h - 1]])
-    ix = np.concatenate([[0], np.arange(w), [w - 1]])
-    out = x.data[:, :, iy][:, :, :, ix]
+    out = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, np.s_[:, :, iy[:, None], ix[None, :]], g)
-        return (gx,)
+        return (_fold_edges(_fold_edges(g, 2), 3),)
 
     return _record([x], out, back)
+
+
+def _every_other(axis, first, count):
+    """Index of `count` entries along `axis`, from `first` in steps of two."""
+    return _along(axis, slice(first, first + 2 * count - 1, 2))
+
+
+def _binomial_stride2(d, axis):
+    """[1, 2, 1] / 4 along `axis`, evaluated at the even (valid) positions."""
+    m = (d.shape[axis] - 1) // 2
+    out = d[_every_other(axis, 0, m)] + d[_every_other(axis, 2, m)]
+    out *= 0.25
+    out += 0.5 * d[_every_other(axis, 1, m)]
+    return out
+
+
+def _binomial_stride2_adjoint(g, axis, extent):
+    m = g.shape[axis]
+    gx = np.zeros(g.shape[:axis] + (extent,) + g.shape[axis + 1:], g.dtype)
+    quarter = 0.25 * g
+    gx[_every_other(axis, 0, m)] = quarter
+    gx[_every_other(axis, 2, m)] += quarter
+    gx[_every_other(axis, 1, m)] = 0.5 * g
+    return gx
+
+
+def binomial_stride2(x: Tensor) -> Tensor:
+    """Separable [1, 2, 1] / 4 blur on every channel, sampled at stride 2
+    without padding: extent e maps to (e - 3) // 2 + 1."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"expected NCHW input, got {x.data.shape}")
+    n, c, h, w = x.data.shape
+    if h < 3 or w < 3:
+        raise ShapeError(f"binomial_stride2 needs extents >= 3, got {h}x{w}")
+    rows = _binomial_stride2(x.data, 2)
+    out = _binomial_stride2(rows, 3)
+
+    def back(g):
+        g_rows = _binomial_stride2_adjoint(g, 3, w)
+        return (_binomial_stride2_adjoint(g_rows, 2, h),)
+
+    return _record([x], out, back)
+
+
+# 2x half-pixel linear interpolation along one axis: output 2i + phase is
+# 0.75 x[i] + 0.25 x[j], where j = i - 1 for phase 0 and i + 1 for phase 1,
+# clamped to the ends.  Entries: (phase, slice of i, matching slice of j).
+_UPSAMPLE_TAPS = ((0, slice(1, None), slice(None, -1)), (0, slice(0, 1), slice(0, 1)),
+                  (1, slice(None, -1), slice(1, None)), (1, slice(-1, None), slice(-1, None)))
+
+
+def _upsample2x(d, axis):
+    near, far = 0.75 * d, 0.25 * d
+    pair = np.empty(d.shape[:axis + 1] + (2,) + d.shape[axis + 1:], d.dtype)
+    for phase, i, j in _UPSAMPLE_TAPS:
+        np.add(near[_along(axis, i)], far[_along(axis, j)],
+               out=pair[_along(axis + 1, phase)][_along(axis, i)])
+    return pair.reshape(d.shape[:axis] + (2 * d.shape[axis],) + d.shape[axis + 1:])
+
+
+def _upsample2x_adjoint(g, axis):
+    pair = g.reshape(g.shape[:axis] + (g.shape[axis] // 2, 2) + g.shape[axis + 1:])
+    gx = pair[_along(axis + 1, 0)] + pair[_along(axis + 1, 1)]
+    gx *= 0.75
+    for phase, i, j in _UPSAMPLE_TAPS:
+        gx[_along(axis, j)] += 0.25 * pair[_along(axis + 1, phase)][_along(axis, i)]
+    return gx
 
 
 def bilinear_upsample2x(x: Tensor) -> Tensor:
     """2x bilinear upsampling with half-pixel sampling and clamped edges."""
     if x.data.ndim != 4:
         raise ShapeError(f"expected NCHW input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
-
-    def coords(extent):
-        src = (np.arange(2 * extent) + 0.5) / 2.0 - 0.5
-        i0 = np.floor(src).astype(np.int64)
-        t = src - i0
-        lo = np.clip(i0, 0, extent - 1)
-        hi = np.clip(i0 + 1, 0, extent - 1)
-        return lo, hi, t
-
-    y0, y1, ty = coords(h)
-    x0, x1, tx = coords(w)
-    ty = ty[:, None]
-    tx = tx[None, :]
-    d = x.data
-    out = ((1 - ty) * (1 - tx) * d[:, :, y0][:, :, :, x0]
-           + (1 - ty) * tx * d[:, :, y0][:, :, :, x1]
-           + ty * (1 - tx) * d[:, :, y1][:, :, :, x0]
-           + ty * tx * d[:, :, y1][:, :, :, x1]).astype(d.dtype)
+    out = _upsample2x(_upsample2x(x.data, 3), 2)
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        for yi, wy in ((y0, 1 - ty), (y1, ty)):
-            for xi, wx in ((x0, 1 - tx), (x1, tx)):
-                contrib = (g * wy * wx).astype(g.dtype)
-                np.add.at(gx, np.s_[:, :, yi[:, None], xi[None, :]], contrib)
-        return (gx,)
+        return (_upsample2x_adjoint(_upsample2x_adjoint(g, 2), 3),)
 
     return _record([x], out, back)
 

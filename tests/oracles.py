@@ -104,3 +104,50 @@ def ssim_plane_loops(x, y, data_range=255.0, window=11, sigma=1.5,
             den = (mx * mx + my * my + c1) * (vx + vy + c2)
             scores.append(num / den)
     return float(np.mean(scores))
+
+
+def upsample2x_loops(x):
+    """Half-pixel 2x bilinear upsampling, one output pixel at a time: output
+    row oy samples source coordinate (oy + 0.5) / 2 - 0.5, clamped to the
+    nearest valid row for each tap (likewise for columns)."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, 2 * h, 2 * w), dtype=np.float64)
+    for oy in range(2 * h):
+        sy = (oy + 0.5) / 2.0 - 0.5
+        y0 = int(np.floor(sy))
+        ty = sy - y0
+        for ox in range(2 * w):
+            sx = (ox + 0.5) / 2.0 - 0.5
+            x0 = int(np.floor(sx))
+            tx = sx - x0
+            for ni in range(n):
+                for ci in range(c):
+                    acc = 0.0
+                    for yy, wy in ((y0, 1.0 - ty), (y0 + 1, ty)):
+                        for xx, wx in ((x0, 1.0 - tx), (x0 + 1, tx)):
+                            iy = min(max(yy, 0), h - 1)
+                            ix = min(max(xx, 0), w - 1)
+                            acc += wy * wx * float(x[ni, ci, iy, ix])
+                    out[ni, ci, oy, ox] = acc
+    return out
+
+
+def blur_pool_loops(x):
+    """3x3 binomial blur ([1,2,1] outer [1,2,1] / 16) centred on every even
+    input pixel, with edge-replicated (clamped) neighbours."""
+    n, c, h, w = x.shape
+    taps = (1.0, 2.0, 1.0)
+    oh, ow = (h + 1) // 2, (w + 1) // 2
+    out = np.zeros((n, c, oh, ow), dtype=np.float64)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(oh):
+                for ox in range(ow):
+                    acc = 0.0
+                    for ky in range(3):
+                        for kx in range(3):
+                            iy = min(max(2 * oy + ky - 1, 0), h - 1)
+                            ix = min(max(2 * ox + kx - 1, 0), w - 1)
+                            acc += taps[ky] * taps[kx] * float(x[ni, ci, iy, ix])
+                    out[ni, ci, oy, ox] = acc / 16.0
+    return out

@@ -12,10 +12,11 @@ from mirnet_forge import tensor as T
 from mirnet_forge.blocks import (
     DAU, MRB, RRG, SKFF, ChannelAttention, ConcatFusion, Conv2d, MIRNet,
     NetworkConfig, PReLU, ResizeChain, ResizeDown, ResizeUp, SpatialAttention,
-    SumFusion, blur_pool, bottleneck_width, count_parameters, make_blur_weight)
+    SumFusion, blur_pool, bottleneck_width, count_parameters)
 from mirnet_forge.tensor import ContractError, ShapeError, Tensor
 
-from oracles import channel_pool_loops, conv2d_loops, sigmoid_loops
+from oracles import (blur_pool_loops, channel_pool_loops, conv2d_loops,
+                     sigmoid_loops)
 
 RNG = np.random.default_rng
 
@@ -255,12 +256,14 @@ class TestDAU:
 
 
 class TestBlurPool:
-    def test_kernel_normalized(self):
-        w = make_blur_weight(3, np.float64)
-        for c in range(3):
-            assert w.data[c, c].sum() == 1.0
-        off = w.data.sum() - 3.0
-        assert abs(off) < 1e-12
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((1, 2, 5, 7), (3, 4)), ((2, 3, 1, 2), (1, 1)), ((1, 3, 8, 6), (4, 3))],
+        ids=["odd_5x7", "extent_1x2", "even_8x6"])
+    def test_matches_loop_oracle(self, shape, out_hw):
+        x = Tensor(RNG(21).normal(size=shape))
+        out = blur_pool(x).data
+        assert out.shape == shape[:2] + out_hw
+        np.testing.assert_allclose(out, blur_pool_loops(x.data), rtol=0, atol=1e-12)
 
     def test_constant_plane_preserved(self):
         x = Tensor(np.full((1, 2, 8, 8), 0.37))

@@ -1,5 +1,11 @@
 """End-to-end command tests: train, eval, infer, gradcheck, ablate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mirnet_forge
 import numpy as np
 import pytest
 
@@ -204,6 +210,25 @@ class TestInferCommand:
         rc = cli.cmd_infer(str(config), str(ckpt),
                            str(bad), str(tmp_path / "out.ppm"))
         assert rc == cli.EXIT_DATA
+
+    def test_truncated_checkpoint_exits_2_without_traceback(self, tmp_path):
+        config, _ = _make_dataset(tmp_path / "data")
+        raw = _identity_checkpoint(tmp_path, config).read_bytes()
+        src = tmp_path / "in.ppm"
+        D.save_ppm(_smooth_image(1), src)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(mirnet_forge.__file__).parents[1]))
+        cut = tmp_path / "cut.ckpt"
+        for size in (6, 9, 12, 20, len(raw) - 3):
+            cut.write_bytes(raw[:size])
+            proc = subprocess.run(
+                [sys.executable, "-m", "mirnet_forge.cli", "infer",
+                 "--config", str(config), "--checkpoint", str(cut),
+                 str(src), str(tmp_path / "out.ppm")],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == cli.EXIT_CONFIG, (size, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert "checkpoint error: truncated" in proc.stderr
 
 
 class TestGradcheckCommand:

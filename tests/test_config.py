@@ -126,3 +126,44 @@ class TestCheckpoint:
         p.write_bytes(b"MIRT" + struct.pack("<I", 99))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(p)
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(full, self._arrays())
+        raw = full.read_bytes()
+        # a cut exactly between entries leaves a shorter valid checkpoint
+        names = list(self._arrays())
+        boundaries = {8: 0, 8 + 2 + 11 + 1 + 16 + 4 * 108: 1,
+                      len(raw) - (2 + 10 + 1 + 4): 2}
+        p = tmp_path / "cut.ckpt"
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            if cut in boundaries:
+                assert list(load_checkpoint(p)) == names[:boundaries[cut]]
+                continue
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p)
+
+    @pytest.mark.parametrize("cut,offset",
+                             [(6, 4), (9, 8), (12, 10), (20, 10), (-3, 515)])
+    def test_truncation_names_byte_offset(self, tmp_path, cut, offset):
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(full, self._arrays())
+        p = tmp_path / "cut.ckpt"
+        p.write_bytes(full.read_bytes()[:cut])
+        with pytest.raises(CheckpointError, match=f"truncated .* at byte {offset}:"):
+            load_checkpoint(p)
+
+    def test_huge_extents_rejected_before_reading(self, tmp_path):
+        p = tmp_path / "huge.ckpt"
+        p.write_bytes(b"MIRT" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+                      + struct.pack("<B", 3) + struct.pack("<3I", *[2 ** 32 - 1] * 3))
+        with pytest.raises(CheckpointError, match="values of 'w'"):
+            load_checkpoint(p)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        p = tmp_path / "name.ckpt"
+        p.write_bytes(b"MIRT" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"\xff"
+                      + struct.pack("<B", 0) + bytes(4))
+        with pytest.raises(CheckpointError, match="byte 10"):
+            load_checkpoint(p)

@@ -1,0 +1,25 @@
+"""Smoke test: the sub-second narrative demos run to completion.
+
+Each demo runs in its own interpreter, exactly as a reader would start it,
+so an API change that breaks a demo fails here instead of silently.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mirnet_forge
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", [
+    "fusion_parameter_counts", "metrics_tour", "shift_equivariance"])
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=str(Path(mirnet_forge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mirnet_forge import tensor as T
+from mirnet_forge.blocks import blur_pool
 from mirnet_forge.tensor import ContractError, ShapeError, Tape, Tensor
 
-from oracles import channel_pool_loops, conv2d_loops, sigmoid_loops
+from oracles import (channel_pool_loops, conv2d_loops, sigmoid_loops,
+                     upsample2x_loops)
 
 
 def randt(shape, seed=0, dtype=np.float64):
@@ -35,10 +37,13 @@ class TestConv2d:
         w = randt((16, 3, 3, 3), seed=2)
         assert T.conv2d(x, w, padding=1).shape == (1, 16, 8, 8)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 2)])
-    def test_matches_loop_oracle(self, stride, padding):
+    @pytest.mark.parametrize(
+        "stride,padding,kernel",
+        [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 2, 3), (1, 0, 1)],
+        ids=["1-0", "1-1", "2-1", "2-2", "pointwise"])
+    def test_matches_loop_oracle(self, stride, padding, kernel):
         x = randt((2, 3, 7, 6), seed=3)
-        w = randt((4, 3, 3, 3), seed=4)
+        w = randt((4, 3, kernel, kernel), seed=4)
         b = randt((4,), seed=5)
         out = T.conv2d(x, w, b, stride, padding)
         expected = conv2d_loops(x.data, w.data, b.data, stride, padding)
@@ -239,17 +244,22 @@ class TestBackward:
         np.testing.assert_array_equal(y.grad, np.zeros_like(y.data))
 
     def test_composite_matches_finite_differences(self):
-        x = randt((1, 2, 4, 4), seed=19)
+        # batch of two: weight gradients contract over batch and positions
+        x = randt((2, 2, 4, 4), seed=19)
         w = randt((3, 2, 3, 3), seed=20)
         b = randt((3,), seed=21)
-        f = lambda: T.tsum(T.sigmoid(T.conv2d(x, w, b, 1, 1)))
-        rep = T.grad_check(f, [x, w, b], step=1e-5, tolerance=1e-4)
+        w1 = randt((2, 3, 1, 1), seed=26)
+        b1 = randt((2,), seed=27)
+        f = lambda: T.tsum(T.sigmoid(T.conv2d(T.conv2d(x, w, b, 1, 1), w1, b1)))
+        rep = T.grad_check(f, [x, w, b, w1, b1], step=1e-5, tolerance=1e-4)
         assert rep.passed, rep
 
 
 @pytest.mark.parametrize("op", [
-    T.sigmoid, T.global_avg_pool, T.channel_pool, T.bilinear_upsample2x],
-    ids=["sigmoid", "gap", "channel_pool", "bilinear_up"])
+    T.sigmoid, T.global_avg_pool, T.channel_pool, T.bilinear_upsample2x,
+    T.replicate_pad1, blur_pool],
+    ids=["sigmoid", "gap", "channel_pool", "bilinear_up", "replicate_pad",
+         "blur_pool"])
 @pytest.mark.parametrize("seed", range(3))
 def test_op_gradients_small_shapes(op, seed):
     x = randt((1, 3, 5, 6), seed=seed)
@@ -294,6 +304,36 @@ class TestBilinearUpsample:
         out = T.bilinear_upsample2x(Tensor(ramp)).data[0, 0, 2]
         expected = (np.arange(16) + 0.5) / 2.0 - 0.5
         np.testing.assert_allclose(out[1:-1], expected[1:-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 1), (2, 3, 1, 2), (1, 2, 5, 7)])
+    def test_matches_loop_oracle(self, shape):
+        x = randt(shape, seed=28)
+        np.testing.assert_allclose(T.bilinear_upsample2x(x).data,
+                                   upsample2x_loops(x.data), rtol=0, atol=1e-12)
+
+    def test_float32_stays_float32(self):
+        out = T.bilinear_upsample2x(randt((1, 2, 3, 4), dtype=np.float32))
+        assert out.data.dtype == np.float32
+
+
+class TestReplicatePad:
+    def test_edges_replicated(self):
+        x = randt((1, 2, 3, 4), seed=29)
+        out = T.replicate_pad1(x).data
+        assert out.shape == (1, 2, 5, 6)
+        np.testing.assert_array_equal(out[:, :, 1:-1, 1:-1], x.data)
+        np.testing.assert_array_equal(out[:, :, 0, 1:-1], x.data[:, :, 0])
+        np.testing.assert_array_equal(out[:, :, 1:-1, -1], x.data[:, :, :, -1])
+        assert out[0, 1, 0, 0] == x.data[0, 1, 0, 0]
+        assert out[0, 1, -1, -1] == x.data[0, 1, -1, -1]
+
+    def test_extent_one_gradient(self):
+        # every padded copy of a 1x1 plane folds back onto it
+        x = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        with Tape() as tape:
+            loss = T.tsum(T.replicate_pad1(x))
+        T.backward(tape, loss)
+        assert x.grad[0, 0, 0, 0] == 9.0
 
 
 def test_determinism_same_seed_bit_identical():
