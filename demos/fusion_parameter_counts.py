@@ -9,7 +9,7 @@ At a reference width of 64 channels and three streams:
 """
 
 from mirnet_forge.blocks import ConcatFusion, SKFF, SumFusion, count_parameters
-from mirnet_forge.cli import aggregation_report
+from mirnet_forge.pipeline import aggregation_report
 
 
 def main():

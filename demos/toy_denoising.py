@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mirnet_forge import cli
+from mirnet_forge import cli, pipeline
 from mirnet_forge import data as D
 
 
@@ -64,14 +64,13 @@ def main():
     print(f"loss: {float(first[2]):.4f} (step {first[0]}) -> "
           f"{float(last[2]):.4f} (step {last[0]})")
 
-    cfg = cli._load_config(str(root / "config.txt"))
-    lines = cli.run_eval(cfg, root / "run" / "final.ckpt",
-                         str(root / "test.txt"))
+    cfg = pipeline.load_config(str(root / "config.txt"))
+    report = pipeline.run_eval(cfg, root / "run" / "final.ckpt",
+                               str(root / "test.txt"))
     print("\nheld-out evaluation:")
-    print("\n".join(lines))
-    restored = float(lines[-2].split("\t")[1])
-    noisy = float(lines[-1].split("\t")[1])
-    print(f"\nPSNR gain over the noisy input: {restored - noisy:+.2f} dB")
+    print(cli.format_report(report))
+    gain = report.aggregate[0] - report.input_baseline[0]
+    print(f"\nPSNR gain over the noisy input: {gain:+.2f} dB")
 
 
 if __name__ == "__main__":

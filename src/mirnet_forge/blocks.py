@@ -397,7 +397,7 @@ class SumFusion(Module):
     """Parameter-free aggregation: plain element-wise sum of the branches."""
 
     def __init__(self, channels, n_branches, dtype=np.float32, rng=None):
-        self._n = n_branches
+        """Takes the other fusions' arguments and keeps none of them."""
 
     def __call__(self, branches):
         out = branches[0]

@@ -37,10 +37,13 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any malformed or truncated field raises
-    CheckpointError naming its byte offset."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read a checkpoint; an unreadable file, or any malformed or truncated
+    field, raises CheckpointError (naming the field's byte offset)."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}")
     pos = 4

@@ -1,13 +1,14 @@
 """Command-line entry point: train, eval, infer, gradcheck, ablate.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 I/O or data
-error, 4 numerical failure.
+Exit codes: 0 success, 1 verification failure, 2 config or checkpoint error,
+3 I/O or data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -16,12 +17,10 @@ import numpy as np
 
 from . import blocks as B
 from . import data as D
-from . import metrics as M
-from . import optim as O
+from . import pipeline as P
 from . import tensor as T
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, parse_config, render_config
-from .tensor import Tensor
+from .checkpoint import CheckpointError
+from .config import ConfigError
 from .verify import run_gradcheck_suite
 
 EXIT_OK = 0
@@ -30,271 +29,92 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-
-class NumericalError(RuntimeError):
-    pass
-
-
-def _load_config(path: str) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config(text)
-    # a relative manifest is taken relative to the config file itself
-    if cfg.data.manifest and not Path(cfg.data.manifest).is_absolute():
-        cfg.data.manifest = str(Path(path).parent / cfg.data.manifest)
-    return cfg
+# Checked in order; the first matching row decides the exit code.
+EXIT_TABLE = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (CheckpointError, EXIT_CONFIG, "checkpoint error"),
+    (P.NumericalError, EXIT_NUMERIC, "numerical failure"),
+    ((OSError, D.ParseError, T.ContractError), EXIT_DATA, "data error"),
+)
 
 
-def load_manifest(manifest_path: str) -> list[tuple[str, D.ImageBuffer]]:
-    """Manifest: one clean-image path per line, relative to the manifest."""
-    mpath = Path(manifest_path)
-    base = mpath.parent
-    images = []
-    for line in mpath.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        p = base / line
-        images.append((line, D.load_ppm(p)))
-    if not images:
-        raise D.ParseError(f"manifest {manifest_path} lists no images")
-    return images
-
-
-def build_pairs(cfg: RunConfig, manifest_path: str):
-    """Degraded (input, target) pairs, one RNG stream per image."""
-    pairs = []
-    for i, (name, img) in enumerate(load_manifest(manifest_path)):
-        spec = dataclasses.replace(
-            cfg.data.spec, seed=D.split_seed(cfg.data.spec.seed, i))
-        inp, tgt = D.degrade(img, spec)
-        pairs.append((name, inp, tgt))
-    return pairs
-
-
-# ---------------------------------------------------------------------------
-# training
-
-
-def run_training(cfg: RunConfig, out_dir: str | Path):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(render_config(cfg))
-
-    pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
-    net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
-    params = net.named_parameters()
-    adam = O.Adam()
-    sched = O.CosineSchedule(cfg.train.lr_init, cfg.train.lr_min,
-                             cfg.train.total_steps)
-    sampler = D.PatchSampler(cfg.train.patch_size, cfg.train.batch,
-                             hflip=True, vflip=True, seed=cfg.train.seed)
-    loss_cfg = O.CharbonnierConfig(mode=cfg.train.loss_mode)
-
-    rows = ["step,lr,loss"]
-    for step in range(cfg.train.total_steps):
-        lr = O.cosine_lr(step, sched)
-        x, y = D.sample_batch(pairs, sampler, step)
-        with T.Tape() as tape:
-            pred = net(Tensor(x))
-            loss = O.charbonnier_loss(pred, Tensor(y), loss_cfg)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite loss at step {step}")
-        net.zero_grad()
-        T.backward(tape, loss)
-        adam.step(params, lr)
-        rows.append(f"{step},{lr:.10e},{value:.10e}")
-        if cfg.train.checkpoint_every and (step + 1) % cfg.train.checkpoint_every == 0:
-            _save_state(out / f"checkpoint_{step + 1:06d}.ckpt", params, adam)
-
-    final = out / "final.ckpt"
-    _save_state(final, params, adam)
-    (out / "loss_log.csv").write_text("\n".join(rows) + "\n")
-    return net, final
-
-
-def _save_state(path, params, adam: O.Adam):
-    arrays = {name: p.data for name, p in params.items()}
-    for name in params:
-        arrays[name + ".adam_m"] = adam.m.get(
-            name, np.zeros_like(params[name].data))
-        arrays[name + ".adam_v"] = adam.v.get(
-            name, np.zeros_like(params[name].data))
-    arrays["optim.step"] = np.float32(adam.t)
-    save_checkpoint(path, arrays)
-
-
-def load_network(cfg: RunConfig, checkpoint_path: str) -> B.MIRNet:
-    """Build the network from config and load matching parameters.
-
-    Raises CheckpointError naming the first mismatched parameter.
-    """
-    net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
-    stored = load_checkpoint(checkpoint_path)
-    for name, p in net.named_parameters().items():
-        arr = stored.get(name)
-        if arr is None:
-            raise CheckpointError(f"checkpoint missing parameter {name!r}")
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr.astype(np.float32)
-    return net
-
-
-# ---------------------------------------------------------------------------
-# inference
-
-
-def restore_image(net: B.MIRNet, image: D.ImageBuffer) -> D.ImageBuffer:
-    """Forward pass with reflect-padding to a divisible extent, then crop."""
-    arr = D.to_array(image)
-    d = net.config.divisor
-    h, w = arr.shape[1], arr.shape[2]
-    ph, pw = (-h) % d, (-w) % d
-    top, left = ph // 2, pw // 2
-    if ph or pw:
-        arr = np.pad(arr, ((0, 0), (top, ph - top), (left, pw - left)),
-                     mode="reflect")
-    out = net(Tensor(arr[None])).data[0]
-    out = out[:, top:top + h, left:left + w]
-    return D.to_image(out)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
+def _exit_codes(cmd):
+    """Map the errors of EXIT_TABLE to their exit code and a stderr line."""
+    @functools.wraps(cmd)
+    def run(*args, **kwargs):
+        try:
+            return cmd(*args, **kwargs)
+        except Exception as exc:
+            for types, code, label in EXIT_TABLE:
+                if isinstance(exc, types):
+                    print(f"{label}: {exc}", file=sys.stderr)
+                    return code
+            raise
+    return run
 
 
 def _fmt(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.6f}"
 
 
-def run_eval(cfg: RunConfig, checkpoint_path: str,
-             manifest_path: str | None = None) -> list[str]:
-    net = load_network(cfg, checkpoint_path)
-    mcfg = M.MetricConfig(channel_mode=cfg.eval.channel_mode)
-    pairs = build_pairs(cfg, manifest_path or cfg.data.manifest)
-
-    lines = [f"# channel_mode={cfg.eval.channel_mode}", "name\tpsnr_db\tssim"]
-    restored_scores = []
-    baseline_scores = []
-    for name, inp, tgt in pairs:
-        restored = restore_image(net, inp)
-        rp, rs = M.psnr(restored, tgt, mcfg), M.ssim(restored, tgt, mcfg)
-        bp, bs = M.psnr(inp, tgt, mcfg), M.ssim(inp, tgt, mcfg)
-        restored_scores.append((rp, rs))
-        baseline_scores.append((bp, bs))
-        lines.append(f"{name}\t{_fmt(rp)}\t{_fmt(rs)}")
-    mean = lambda vals: sum(vals) / len(vals)
-    lines.append("aggregate\t{}\t{}".format(
-        _fmt(mean([p for p, _ in restored_scores])),
-        _fmt(mean([s for _, s in restored_scores]))))
-    lines.append("input_baseline\t{}\t{}".format(
-        _fmt(mean([p for p, _ in baseline_scores])),
-        _fmt(mean([s for _, s in baseline_scores]))))
-    return lines
+def format_report(report: P.EvalReport) -> str:
+    """The tab-separated eval report printed by `eval`."""
+    rows = [*report.rows, ("aggregate", *report.aggregate),
+            ("input_baseline", *report.input_baseline)]
+    return "\n".join([f"# channel_mode={report.channel_mode}",
+                      "name\tpsnr_db\tssim",
+                      *(f"{name}\t{_fmt(p)}\t{_fmt(s)}" for name, p, s in rows)])
 
 
-# ---------------------------------------------------------------------------
-# commands
-
-
+@_exit_codes
 def cmd_train(config_path: str, out_dir: str, seed: int | None = None) -> int:
-    try:
-        cfg = _load_config(config_path)
-        if seed is not None:
-            cfg.train.seed = seed
-        if not cfg.data.manifest:
-            raise ConfigError("data.manifest is required for training")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_training(cfg, out_dir)
-    except (OSError, D.ParseError, T.ContractError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    cfg = P.load_config(config_path, seed=seed)
+    if not cfg.data.manifest:
+        raise ConfigError("data.manifest is required for training")
+    P.run_training(cfg, out_dir)
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_eval(config_path: str, checkpoint_path: str,
              manifest_path: str | None = None) -> int:
-    try:
-        cfg = _load_config(config_path)
-        if not (manifest_path or cfg.data.manifest):
-            raise ConfigError("data.manifest is required for evaluation")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        lines = run_eval(cfg, checkpoint_path, manifest_path)
-    except CheckpointError as exc:
-        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, D.ParseError, T.ContractError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    print("\n".join(lines))
+    cfg = P.load_config(config_path)
+    if not (manifest_path or cfg.data.manifest):
+        raise ConfigError("data.manifest is required for evaluation")
+    print(format_report(P.run_eval(cfg, checkpoint_path, manifest_path)))
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_infer(config_path: str, checkpoint_path: str,
               in_path: str, out_path: str) -> int:
-    try:
-        cfg = _load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        net = load_network(cfg, checkpoint_path)
-    except (CheckpointError, OSError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        image = D.load_ppm(in_path)
-        restored = restore_image(net, image)
-        D.save_ppm(restored, out_path)
-    except (OSError, D.ParseError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    net = P.load_network(P.load_config(config_path), checkpoint_path)
+    D.save_ppm(P.restore_image(net, D.load_ppm(in_path)), out_path)
     return EXIT_OK
 
 
 def cmd_gradcheck(corrupt: str | None = None) -> int:
     reports = run_gradcheck_suite(corrupt=corrupt)
-    failing = []
     for rep in reports:
-        status = "ok" if rep.passed else "FAIL"
-        print(f"{rep.name}\t{rep.max_rel_err:.3e}\t{status}")
-        if not rep.passed:
-            failing.append(rep.name)
+        print(f"{rep.name}\t{rep.max_rel_err:.3e}\t{'ok' if rep.passed else 'FAIL'}")
+    failing = [rep.name for rep in reports if not rep.passed]
     if failing:
         print("failing blocks: " + ", ".join(failing), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_ablate(which: str, config_path: str, out_dir: str,
                train_steps: int = 0) -> int:
     if which not in ("aggregation", "layout"):
-        print(f"config error: unknown ablation {which!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = _load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown ablation {which!r}")
+    cfg = P.load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if which == "aggregation":
-        lines = aggregation_report()
+        lines = P.aggregation_report()
         print("\n".join(lines))
         (out / "aggregation.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
@@ -311,34 +131,12 @@ def cmd_ablate(which: str, config_path: str, out_dir: str,
                 cell_cfg = dataclasses.replace(
                     cfg, network=cell,
                     train=dataclasses.replace(cfg.train, total_steps=train_steps))
-                try:
-                    _, ckpt = run_training(cell_cfg, out / f"r{rows_n}c{cols_n}")
-                    report = run_eval(cell_cfg, ckpt)
-                except (OSError, D.ParseError, T.ContractError) as exc:
-                    print(f"data error: {exc}", file=sys.stderr)
-                    return EXIT_DATA
-                psnr_cell = report[-2].split("\t")[1]
+                _, ckpt = P.run_training(cell_cfg, out / f"r{rows_n}c{cols_n}")
+                psnr_cell = _fmt(P.run_eval(cell_cfg, ckpt).aggregate[0])
             lines.append(f"{rows_n}\t{cols_n}\t{total}\t{psnr_cell}")
     print("\n".join(lines))
     (out / "layout.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def aggregation_report(channels: int = 64, branches: int = 3) -> list[str]:
-    """Parameter counts of the three fusion strategies at reference width."""
-    variants = {
-        "sum": B.SumFusion(channels, branches),
-        "concat": B.ConcatFusion(channels, branches, dtype=np.float64),
-        "skff": B.SKFF(channels, branches, dtype=np.float64),
-    }
-    lines = ["method\tparameters"]
-    totals = {}
-    for name, module in variants.items():
-        _, total = B.count_parameters(module)
-        totals[name] = total
-        lines.append(f"{name}\t{total}")
-    lines.append(f"concat_to_skff_ratio\t{totals['concat'] / totals['skff']:.3f}")
-    return lines
 
 
 def main(argv=None) -> int:

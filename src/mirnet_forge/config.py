@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import NetworkConfig
-from .data import DegradationSpec
+from .data import DegradationSpec, PatchSampler
+from .metrics import MetricConfig
+from .optim import CharbonnierConfig, CosineSchedule
 
 
 class ConfigError(ValueError):
@@ -83,7 +85,9 @@ def _target(cfg: RunConfig, path: str):
     return obj
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, seed: int | None = None) -> RunConfig:
+    """Parse and validate config text; `seed`, when given, replaces
+    train.seed before validation."""
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -101,29 +105,32 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         setattr(_target(cfg, path), attr, parsed)
+    if seed is not None:
+        cfg.train.seed = seed
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
+    """Each component checks its own settings; only the rules that relate
+    two components, or that no component consumes, live here."""
+    t = cfg.train
     try:
         cfg.network.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.train.total_steps < 1:
-        raise ConfigError("train.total_steps must be >= 1")
-    if cfg.train.patch_size % cfg.network.divisor:
-        raise ConfigError(
-            f"train.patch_size {cfg.train.patch_size} must be divisible by "
-            f"{cfg.network.divisor} for {cfg.network.n_streams} streams")
-    if cfg.train.loss_mode not in ("per_pixel_mean", "global_norm"):
-        raise ConfigError(f"unknown train.loss_mode {cfg.train.loss_mode!r}")
-    if cfg.eval.channel_mode not in ("rgb", "y_channel"):
-        raise ConfigError(f"unknown eval.channel_mode {cfg.eval.channel_mode!r}")
-    try:
         cfg.data.spec.validate()
+        CosineSchedule(t.lr_init, t.lr_min, t.total_steps).validate()
+        CharbonnierConfig(mode=t.loss_mode).validate()
+        PatchSampler(t.patch_size, t.batch).validate()
+        MetricConfig(channel_mode=cfg.eval.channel_mode).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if t.patch_size % cfg.network.divisor:
+        raise ConfigError(
+            f"train.patch_size {t.patch_size} must be divisible by "
+            f"{cfg.network.divisor} for {cfg.network.n_streams} streams")
+    for key in ("seed", "checkpoint_every"):
+        if getattr(t, key) < 0:
+            raise ConfigError(f"train.{key} must be >= 0")
 
 
 def render_config(cfg: RunConfig) -> str:

@@ -1,0 +1,186 @@
+"""The run lifecycle shared by the CLI, the demos and the tests: load a
+configuration and a manifest, train, load a checkpoint, restore images and
+score them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from pathlib import Path
+
+import numpy as np
+
+from . import blocks as B
+from . import data as D
+from . import metrics as M
+from . import optim as O
+from . import tensor as T
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .config import ConfigError, RunConfig, parse_config, render_config
+from .tensor import Tensor
+
+
+class NumericalError(RuntimeError):
+    pass
+
+
+def load_config(path: str, seed: int | None = None) -> RunConfig:
+    """Parse a config file; `seed` replaces train.seed before validation."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cfg = parse_config(text, seed=seed)
+    # a relative manifest is taken relative to the config file itself
+    if cfg.data.manifest and not Path(cfg.data.manifest).is_absolute():
+        cfg.data.manifest = str(Path(path).parent / cfg.data.manifest)
+    return cfg
+
+
+def load_manifest(manifest_path: str) -> list[tuple[str, D.ImageBuffer]]:
+    """Manifest: one clean-image path per line, relative to the manifest."""
+    mpath = Path(manifest_path)
+    try:
+        text = mpath.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise D.ParseError(f"manifest {manifest_path} is not UTF-8: {exc}") from exc
+    images = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        images.append((line, D.load_ppm(mpath.parent / line)))
+    if not images:
+        raise D.ParseError(f"manifest {manifest_path} lists no images")
+    return images
+
+
+def build_pairs(cfg: RunConfig, manifest_path: str):
+    """Degraded (input, target) pairs, one RNG stream per image."""
+    pairs = []
+    for i, (name, img) in enumerate(load_manifest(manifest_path)):
+        spec = dataclasses.replace(
+            cfg.data.spec, seed=D.split_seed(cfg.data.spec.seed, i))
+        inp, tgt = D.degrade(img, spec)
+        pairs.append((name, inp, tgt))
+    return pairs
+
+
+def run_training(cfg: RunConfig, out_dir: str | Path):
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(render_config(cfg))
+
+    pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
+    net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
+    params = net.named_parameters()
+    adam = O.Adam()
+    sched = O.CosineSchedule(cfg.train.lr_init, cfg.train.lr_min,
+                             cfg.train.total_steps)
+    sampler = D.PatchSampler(cfg.train.patch_size, cfg.train.batch,
+                             hflip=True, vflip=True, seed=cfg.train.seed)
+    loss_cfg = O.CharbonnierConfig(mode=cfg.train.loss_mode)
+
+    rows = ["step,lr,loss"]
+    for step in range(cfg.train.total_steps):
+        lr = O.cosine_lr(step, sched)
+        x, y = D.sample_batch(pairs, sampler, step)
+        with T.Tape() as tape:
+            pred = net(Tensor(x))
+            loss = O.charbonnier_loss(pred, Tensor(y), loss_cfg)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite loss at step {step}")
+        net.zero_grad()
+        T.backward(tape, loss)
+        adam.step(params, lr)
+        rows.append(f"{step},{lr:.10e},{value:.10e}")
+        if cfg.train.checkpoint_every and (step + 1) % cfg.train.checkpoint_every == 0:
+            save_state(out / f"checkpoint_{step + 1:06d}.ckpt", params, adam)
+
+    final = out / "final.ckpt"
+    save_state(final, params, adam)
+    (out / "loss_log.csv").write_text("\n".join(rows) + "\n")
+    return net, final
+
+
+def save_state(path, params, adam: O.Adam):
+    """Checkpoint the parameters with Adam's m, v and step count."""
+    arrays = {name: p.data for name, p in params.items()}
+    for name in params:
+        arrays[name + ".adam_m"] = adam.m.get(
+            name, np.zeros_like(params[name].data))
+        arrays[name + ".adam_v"] = adam.v.get(
+            name, np.zeros_like(params[name].data))
+    arrays["optim.step"] = np.float32(adam.t)
+    save_checkpoint(path, arrays)
+
+
+def load_network(cfg: RunConfig, checkpoint_path: str) -> B.MIRNet:
+    """Build the network from config and load matching parameters.
+
+    Raises CheckpointError naming the first mismatched parameter.
+    """
+    net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
+    stored = load_checkpoint(checkpoint_path)
+    for name, p in net.named_parameters().items():
+        arr = stored.get(name)
+        if arr is None:
+            raise CheckpointError(f"checkpoint missing parameter {name!r}")
+        if arr.shape != p.data.shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}")
+        p.data = arr.astype(np.float32)
+    return net
+
+
+def restore_image(net: B.MIRNet, image: D.ImageBuffer) -> D.ImageBuffer:
+    """Forward pass with reflect-padding to a divisible extent, then crop."""
+    arr = D.to_array(image)
+    d = net.config.divisor
+    h, w = arr.shape[1], arr.shape[2]
+    ph, pw = (-h) % d, (-w) % d
+    top, left = ph // 2, pw // 2
+    if ph or pw:
+        arr = np.pad(arr, ((0, 0), (top, ph - top), (left, pw - left)),
+                     mode="reflect")
+    out = net(Tensor(arr[None])).data[0]
+    out = out[:, top:top + h, left:left + w]
+    return D.to_image(out)
+
+
+@dataclasses.dataclass
+class EvalReport:
+    """Per-image (name, psnr_db, ssim) rows and the (psnr_db, ssim) means of
+    the restored images and of the degraded inputs."""
+    channel_mode: str
+    rows: list[tuple[str, float, float]]
+    aggregate: tuple[float, float]
+    input_baseline: tuple[float, float]
+
+
+def run_eval(cfg: RunConfig, checkpoint_path: str,
+             manifest_path: str | None = None) -> EvalReport:
+    net = load_network(cfg, checkpoint_path)
+    mcfg = M.MetricConfig(channel_mode=cfg.eval.channel_mode)
+    rows, baseline = [], []
+    for name, inp, tgt in build_pairs(cfg, manifest_path or cfg.data.manifest):
+        restored = restore_image(net, inp)
+        rows.append((name, M.psnr(restored, tgt, mcfg), M.ssim(restored, tgt, mcfg)))
+        baseline.append((M.psnr(inp, tgt, mcfg), M.ssim(inp, tgt, mcfg)))
+    mean = lambda scores: tuple(sum(col) / len(col) for col in zip(*scores))
+    return EvalReport(cfg.eval.channel_mode, rows,
+                      aggregate=mean([r[1:] for r in rows]),
+                      input_baseline=mean(baseline))
+
+
+def aggregation_report(channels: int = 64, branches: int = 3) -> list[str]:
+    """Parameter counts of the three fusion strategies at reference width."""
+    totals = {name: B.count_parameters(module)[1] for name, module in (
+        ("sum", B.SumFusion(channels, branches)),
+        ("concat", B.ConcatFusion(channels, branches, dtype=np.float64)),
+        ("skff", B.SKFF(channels, branches, dtype=np.float64)))}
+    return ["method\tparameters",
+            *(f"{name}\t{total}" for name, total in totals.items()),
+            f"concat_to_skff_ratio\t{totals['concat'] / totals['skff']:.3f}"]

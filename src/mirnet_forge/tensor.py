@@ -95,22 +95,19 @@ def _record(inputs, out_data, backward):
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Propagate dLoss through the tape, filling .grad on requires_grad tensors.
+    """Propagate dLoss through the tape, filling .grad on its leaves.
 
-    Tensors that require gradients but are unreachable from the loss receive
-    zero gradients.  An empty tape yields zeros everywhere.
+    Leaves are the requires_grad inputs that no node on the tape produced;
+    intermediate tensors keep grad None.  Leaves unreachable from the loss
+    receive zero gradients.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
-    leaves = {}
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad:
-                leaves[id(t)] = t
-    if tape.nodes:
-        outputs = {id(n.output) for n in tape.nodes}
-        if id(loss) not in outputs:
-            raise ContractError("loss tensor was not produced on this tape")
+    outputs = {id(n.output) for n in tape.nodes}
+    if tape.nodes and id(loss) not in outputs:
+        raise ContractError("loss tensor was not produced on this tape")
+    leaves = {id(t): t for node in tape.nodes for t in node.inputs
+              if t.requires_grad and id(t) not in outputs}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.pop(id(node.output), None)
@@ -122,9 +119,6 @@ def backward(tape: Tape, loss: Tensor):
                 continue
             acc = grads.get(id(t))
             grads[id(t)] = ig if acc is None else acc + ig
-        if node.output.requires_grad and id(node.output) in leaves:
-            # Output also feeds a later op as a leaf; nothing extra to do.
-            pass
     for key, t in leaves.items():
         g = grads.get(key)
         t.grad = np.zeros_like(t.data) if g is None else g

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from mirnet_forge import blocks as B
-from mirnet_forge import cli
 from mirnet_forge import data as D
 from mirnet_forge import metrics as M
 from mirnet_forge import optim as O
+from mirnet_forge import pipeline
 from mirnet_forge import tensor as T
 from mirnet_forge.blocks import NetworkConfig
 from mirnet_forge.tensor import Tensor
@@ -67,13 +67,6 @@ data.noise_sigma = 25
 """
 
 
-def _aggregate(lines, row):
-    for line in lines:
-        if line.startswith(row + "\t"):
-            return float(line.split("\t")[1])
-    raise AssertionError(f"missing report row {row!r}")
-
-
 @pytest.fixture(scope="module")
 def toy(tmp_path_factory):
     root = tmp_path_factory.mktemp("toy")
@@ -86,12 +79,12 @@ def toy(tmp_path_factory):
     (root / "test.txt").write_text("\n".join(test_names) + "\n")
     (root / "config.txt").write_text(TOY_CONFIG)
 
-    cfg = cli._load_config(str(root / "config.txt"))
+    cfg = pipeline.load_config(str(root / "config.txt"))
     runs = {}
     started = time.time()
     for tag in ("a", "b"):
-        _, ckpt = cli.run_training(cfg, root / tag)
-        report = cli.run_eval(cfg, ckpt, str(root / "test.txt"))
+        _, ckpt = pipeline.run_training(cfg, root / tag)
+        report = pipeline.run_eval(cfg, ckpt, str(root / "test.txt"))
         runs[tag] = {"ckpt": ckpt, "report": report}
     return {"root": root, "cfg": cfg, "runs": runs,
             "train_seconds": time.time() - started}
@@ -262,8 +255,8 @@ def test_criterion_08_metrics_oracles():
 
 def test_criterion_09_toy_denoising_gain(toy):
     report = toy["runs"]["a"]["report"]
-    restored = _aggregate(report, "aggregate")
-    baseline = _aggregate(report, "input_baseline")
+    restored = report.aggregate[0]
+    baseline = report.input_baseline[0]
     ok = (restored >= baseline + 3.0
           and toy["train_seconds"] < 1800.0)
     _report(9, f"toy denoising: restored {restored:.2f} dB vs noisy "
@@ -280,10 +273,10 @@ def test_criterion_10_layout_sweep(toy):
             network=dataclasses.replace(cfg.network, n_streams=streams,
                                         n_columns=1),
             train=dataclasses.replace(cfg.train, total_steps=1000))
-        _, ckpt = cli.run_training(cell, toy["root"] / f"sweep_s{streams}")
-        report = cli.run_eval(cell, ckpt, str(toy["root"] / "test.txt"))
+        _, ckpt = pipeline.run_training(cell, toy["root"] / f"sweep_s{streams}")
+        report = pipeline.run_eval(cell, ckpt, str(toy["root"] / "test.txt"))
         net = B.MIRNet(cell.network, seed=cell.train.seed)
-        results[streams] = (_aggregate(report, "aggregate"),
+        results[streams] = (report.aggregate[0],
                             B.count_parameters(net)[1])
     p1, n1 = results[1]
     p2, n2 = results[2]

@@ -12,6 +12,8 @@ import pytest
 from mirnet_forge import blocks as B
 from mirnet_forge import cli
 from mirnet_forge import data as D
+from mirnet_forge import optim as O
+from mirnet_forge import pipeline
 from mirnet_forge.checkpoint import load_checkpoint
 from mirnet_forge.config import parse_config, render_config
 
@@ -123,7 +125,7 @@ def _identity_checkpoint(tmp_path, config):
     net.tail.weight.data[:] = 0
     net.tail.bias.data[:] = 0
     path = tmp_path / "identity.ckpt"
-    cli._save_state(path, net.named_parameters(), cli.O.Adam())
+    pipeline.save_state(path, net.named_parameters(), O.Adam())
     return path
 
 
@@ -275,6 +277,47 @@ class TestAblateCommand:
         config, _ = _make_dataset(tmp_path / "data")
         assert cli.cmd_ablate("dropout", str(config),
                               str(tmp_path / "x")) == cli.EXIT_CONFIG
+
+
+# (config lines appended to BASE_CONFIG, command and its arguments, exit code,
+# stderr label); "{root}" is the dataset directory, "{ckpt}" an identity
+# checkpoint of BASE_CONFIG's network.
+BAD_INPUTS = {
+    "lr_min_zero": (b"train.lr_min = 0\n", ["train", "--out", "{root}/run"],
+                    cli.EXIT_CONFIG, "config error"),
+    "batch_zero": (b"train.batch = 0\n", ["train", "--out", "{root}/run"],
+                   cli.EXIT_CONFIG, "config error"),
+    "checkpoint_every_negative": (
+        b"train.checkpoint_every = -1\n", ["train", "--out", "{root}/run"],
+        cli.EXIT_CONFIG, "config error"),
+    "seed_negative": (b"train.seed = -1\n", ["train", "--out", "{root}/run"],
+                      cli.EXIT_CONFIG, "config error"),
+    "seed_flag_negative": (b"", ["train", "--out", "{root}/run", "--seed", "-1"],
+                           cli.EXIT_CONFIG, "config error"),
+    "config_not_utf8": (b"# caf\xe9\n", ["train", "--out", "{root}/run"],
+                        cli.EXIT_CONFIG, "config error"),
+    "manifest_not_utf8": (b"data.manifest = latin1.txt\n",
+                          ["train", "--out", "{root}/run"],
+                          cli.EXIT_DATA, "data error"),
+    "eval_missing_checkpoint": (b"", ["eval", "--checkpoint", "{root}/nope.ckpt"],
+                                cli.EXIT_CONFIG, "checkpoint error"),
+    "eval_shape_mismatch": (b"network.base_channels = 16\n",
+                            ["eval", "--checkpoint", "{ckpt}"],
+                            cli.EXIT_CONFIG, "checkpoint error"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exit_code(tmp_path, capsys, case):
+    extra, args, code, label = BAD_INPUTS[case]
+    root = tmp_path / "data"
+    config, _ = _make_dataset(root)
+    ckpt = _identity_checkpoint(tmp_path, config)
+    config.write_bytes(BASE_CONFIG.encode() + extra)
+    (root / "latin1.txt").write_bytes(b"img_\xe9.ppm\n")
+    args = [a.format(root=root, ckpt=ckpt) for a in args]
+    assert cli.main([args[0], "--config", str(config), *args[1:]]) == code
+    assert capsys.readouterr().err.startswith(label + ": ")
 
 
 class TestMainEntry:

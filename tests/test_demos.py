@@ -1,4 +1,4 @@
-"""Smoke test: the sub-second narrative demos run to completion.
+"""Smoke test: the narrative demos run to completion.
 
 Each demo runs in its own interpreter, exactly as a reader would start it,
 so an API change that breaks a demo fails here instead of silently.
@@ -15,11 +15,18 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
+# toy_denoising trains for two steps in a workspace it creates under TMPDIR
+ARGS = {"toy_denoising": ["2"]}
+
+
 @pytest.mark.parametrize("name", [
-    "fusion_parameter_counts", "metrics_tour", "shift_equivariance"])
-def test_demo_runs(name):
-    env = dict(os.environ, PYTHONPATH=str(Path(mirnet_forge.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")],
+    "fusion_parameter_counts", "metrics_tour", "shift_equivariance",
+    "toy_denoising"])
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=str(Path(mirnet_forge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py"),
+                           *ARGS.get(name, [])],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -232,6 +232,18 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.backward(tape, stray)
 
+    def test_only_leaves_get_gradients(self):
+        # h = x*x is produced on the tape, so it keeps grad None; a zero
+        # there would be wrong (dLoss/dh = 1)
+        x = randt((1, 2, 3, 3), seed=22)
+        x.requires_grad = True
+        with Tape() as tape:
+            h = T.mul(x, x)
+            loss = T.tsum(h)
+        T.backward(tape, loss)
+        assert h.grad is None
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
     def test_unreachable_tensor_gets_zeros(self):
         x = randt((1, 1, 2, 2), seed=17)
         y = randt((1, 1, 2, 2), seed=18)
