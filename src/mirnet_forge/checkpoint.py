@@ -9,6 +9,7 @@ round trip is byte-identical for the same inputs.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -22,18 +23,26 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, arr in arrays.items():
-            a = np.asarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", a.ndim))
-            for extent in a.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(a.tobytes())
+    """Write `<path>.tmp`, then rename it over `path`: a write that fails
+    leaves any previous file at `path` as it was, and no temp file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for name, arr in arrays.items():
+                a = np.asarray(arr, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", a.ndim))
+                for extent in a.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -82,7 +82,12 @@ def cosine_lr(step: int, sched: CosineSchedule) -> float:
 
 class Adam:
     """Adam with bias correction; state is keyed by parameter name so it can
-    persist alongside checkpoints."""
+    persist alongside checkpoints.  `step` updates m, v (in the parameter's
+    dtype) and each p.data in place, BLOCK elements at a time so the working
+    set stays in cache, with the textbook update's float operations in order.
+    """
+
+    BLOCK = 1 << 16
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -93,29 +98,46 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
+    def init_state(self, params: dict[str, Tensor]):
+        """Allocate zero m and v for each parameter that has none yet."""
+        for name, p in params.items():
+            if name not in self.m:
+                self.m[name] = np.zeros(p.data.shape, p.data.dtype)
+                self.v[name] = np.zeros(p.data.shape, p.data.dtype)
+
     def step(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ContractError("lr must be positive")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
+        self.init_state(params)
         for name, p in params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
             if g.shape != p.data.shape:
                 raise ContractError(
                     f"gradient shape {g.shape} misaligned with parameter "
                     f"{name} of shape {p.data.shape}")
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.m[name] = m
-            self.v[name] = v
-            mhat = m / c1
-            vhat = v / c2
-            p.data = p.data - (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+            if not p.data.flags.c_contiguous:
+                p.data = p.data.copy()
+            flat = [a.reshape(-1) for a in (g, self.m[name], self.v[name], p.data)]
+            scratch = np.empty((2, min(self.BLOCK, p.data.size)), p.data.dtype)
+            for start in range(0, p.data.size, self.BLOCK):
+                g, m, v, w = (a[start:start + self.BLOCK] for a in flat)
+                s, r = scratch[:, :w.size]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
+                np.multiply(g, 1.0 - self.beta1, out=s)
+                m *= self.beta1
+                m += s
+                np.multiply(g, g, out=s)
+                s *= 1.0 - self.beta2
+                v *= self.beta2
+                v += s
+                # w -= lr (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m, c1, out=s)
+                np.divide(v, c2, out=r)
+                np.sqrt(r, out=r)
+                r += self.eps
+                s *= lr
+                s /= r
+                w -= s

@@ -86,13 +86,17 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     for step in range(cfg.train.total_steps):
         lr = O.cosine_lr(step, sched)
         x, y = D.sample_batch(pairs, sampler, step)
+        # drop the last step's gradients so this forward reuses their memory
+        net.zero_grad()
         with T.Tape() as tape:
             pred = net(Tensor(x))
             loss = O.charbonnier_loss(pred, Tensor(y), loss_cfg)
         value = loss.item()
         if not math.isfinite(value):
             raise NumericalError(f"non-finite loss at step {step}")
-        net.zero_grad()
+        # allocated above the first tape, Adam's state keeps the memory that
+        # backward frees in the heap, so later forwards reuse it
+        adam.init_state(params)
         T.backward(tape, loss)
         adam.step(params, lr)
         rows.append(f"{step},{lr:.10e},{value:.10e}")
@@ -107,12 +111,11 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
 
 def save_state(path, params, adam: O.Adam):
     """Checkpoint the parameters with Adam's m, v and step count."""
+    adam.init_state(params)
     arrays = {name: p.data for name, p in params.items()}
     for name in params:
-        arrays[name + ".adam_m"] = adam.m.get(
-            name, np.zeros_like(params[name].data))
-        arrays[name + ".adam_v"] = adam.v.get(
-            name, np.zeros_like(params[name].data))
+        arrays[name + ".adam_m"] = adam.m[name]
+        arrays[name + ".adam_v"] = adam.v[name]
     arrays["optim.step"] = np.float32(adam.t)
     save_checkpoint(path, arrays)
 

@@ -50,30 +50,19 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-class _Node:
-    __slots__ = ("inputs", "output", "backward")
-
-    def __init__(self, inputs, output, backward):
-        self.inputs = inputs
-        self.output = output
-        self.backward = backward
 
 
 _ACTIVE_TAPES: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of operations; replaying it in reverse yields gradients."""
+    """Ordered record of operations, each an (inputs, output, backward)
+    node; replaying it in reverse yields gradients."""
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple] = []
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -90,7 +79,7 @@ def _record(inputs, out_data, backward):
     tape = _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(tuple(inputs), out, backward))
+        tape.nodes.append((tuple(inputs), out, backward))
     return out
 
 
@@ -99,23 +88,25 @@ def backward(tape: Tape, loss: Tensor):
 
     Leaves are the requires_grad inputs that no node on the tape produced;
     intermediate tensors keep grad None.  Leaves unreachable from the loss
-    receive zero gradients.
+    receive zero gradients.  The tape is consumed: each node is dropped as it
+    is replayed, freeing its activations, and the tape ends empty.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
-    outputs = {id(n.output) for n in tape.nodes}
-    if tape.nodes and id(loss) not in outputs:
+    nodes = tape.nodes
+    outputs = {id(out) for _, out, _ in nodes}
+    if nodes and id(loss) not in outputs:
         raise ContractError("loss tensor was not produced on this tape")
-    leaves = {id(t): t for node in tape.nodes for t in node.inputs
+    leaves = {id(t): t for inputs, _, _ in nodes for t in inputs
               if t.requires_grad and id(t) not in outputs}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
+    while nodes:
+        inputs, out, back = nodes.pop()
+        g = grads.pop(id(out), None)
         if g is None:
             continue
-        in_grads = node.backward(g)
-        for t, ig in zip(node.inputs, in_grads):
-            if ig is None:
+        for t, ig in zip(inputs, back(g)):
+            if ig is None or not t.requires_grad:
                 continue
             acc = grads.get(id(t))
             grads[id(t)] = ig if acc is None else acc + ig
@@ -230,17 +221,17 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 # convolution
 
 
-def _im2col(xd, kh, kw, stride, padding):
+def _im2col(xd, kh, kw, stride, padding, oh, ow):
+    """Column matrix (N, C*kh*kw, oh*ow) in a fresh buffer of its own."""
     n, c, h, w = xd.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
     if padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xd, inner = np.zeros((n, c, h + 2 * padding, w + 2 * padding), xd.dtype), xd
+        xd[:, :, padding:padding + h, padding:padding + w] = inner
     sn, sc, sh, sw = xd.strides
     cols = as_strided(
         xd, (n, c, kh, kw, oh, ow),
         (sn, sc, sh, sw, sh * stride, sw * stride))
-    return np.ascontiguousarray(cols).reshape(n, c * kh * kw, oh * ow), oh, ow
+    return cols.copy().reshape(n, c * kh * kw, oh * ow)
 
 
 def _col2im(gcols, x_shape, kh, kw, stride, padding, oh, ow):
@@ -276,14 +267,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
-    # a pointwise kernel's column matrix is the input itself: no copy
+    # A pointwise kernel's column matrix is the input itself; any other is
+    # kh*kw times the input, so the node keeps the input and backward rebuilds it.
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
-    if pointwise:
-        cols = x.data.reshape(n, cin, h * w)
-    else:
-        cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+
+    def columns():
+        if pointwise:
+            return x.data.reshape(n, cin, h * w)
+        return _im2col(x.data, kh, kw, stride, padding, oh, ow)
+
     w2 = weight.data.reshape(cout, -1)
-    out = np.matmul(w2, cols)
+    out = np.matmul(w2, columns())
     if bias is not None:
         out = out + bias.data[None, :, None]
     out = out.reshape(n, cout, oh, ow)
@@ -292,11 +286,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def back(g):
         g2 = g.reshape(n, cout, oh * ow)
+        cols = columns()
         gw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(weight.data.shape)
-        gcols = np.matmul(w2.T, g2)
         if pointwise:
-            gx = gcols.reshape(x.data.shape)
+            gx = np.matmul(w2.T, g2).reshape(x.data.shape)
         else:
+            # the rebuilt columns are read no more: gcols may reuse them
+            reuse = cols.dtype == np.result_type(w2, g2)
+            gcols = np.matmul(w2.T, g2, out=cols if reuse else None)
             gx = _col2im(gcols, x.data.shape, kh, kw, stride, padding, oh, ow)
         if bias is None:
             return gx, gw

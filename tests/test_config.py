@@ -95,6 +95,19 @@ class TestCheckpoint:
         save_checkpoint(b, self._arrays())
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(p, self._arrays())
+        before = p.read_bytes()
+        # the second entry cannot be converted to <f4: the write stops after
+        # the first entry's bytes
+        bad = {"head.weight": np.zeros((2, 2), np.float32),
+               "label": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(p, bad)
+        assert p.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.ckpt"]
+
     def test_known_byte_layout(self, tmp_path):
         p = tmp_path / "w.ckpt"
         save_checkpoint(p, {"w": np.array([1.5, -2.0], dtype=np.float32)})

@@ -174,6 +174,38 @@ class TestAdam:
         with pytest.raises(ContractError):
             Adam().step({"p": p}, lr=0.0)
 
+    def test_updates_buffers_in_place(self):
+        # three blocks and a partial fourth; the in-place update must be bit
+        # for bit the whole-array expression, evaluated in float32
+        rng = RNG(12)
+        start = rng.normal(size=(3, 70_000)).astype(np.float32)
+        grads = [rng.normal(size=start.shape).astype(np.float32) for _ in range(3)]
+        p = Tensor(start.copy(), requires_grad=True)
+        data = p.data
+        opt = Adam()
+        buffers = None
+        for g in grads:
+            p.grad = g
+            opt.step({"p": p}, lr=1e-3)
+            buffers = buffers or (opt.m["p"], opt.v["p"])
+        assert p.data is data
+        assert opt.m["p"] is buffers[0] and opt.v["p"] is buffers[1]
+        expected, m, v = start, 0.0 * start, 0.0 * start
+        for t, g in enumerate(grads, start=1):
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            mhat, vhat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+            expected = expected - 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
+        np.testing.assert_array_equal(p.data, expected)
+
+    def test_state_keeps_parameter_dtype(self):
+        p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+        p.grad = np.array([0.5, 0.25])   # float64
+        opt = Adam()
+        for _ in range(2):
+            opt.step({"p": p}, lr=0.01)
+        assert p.data.dtype == opt.m["p"].dtype == opt.v["p"].dtype == np.float32
+
     def test_deterministic(self):
         def run():
             rng = RNG(11)

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,39 @@ class TestConv2d:
         separate = (a * T.conv2d(x, w, padding=1).data
                     + b * T.conv2d(y, w, padding=1).data)
         np.testing.assert_allclose(combined.data, separate, rtol=1e-10)
+
+    def test_kxk_node_keeps_input_not_columns(self):
+        # a 3x3 conv's im2col columns are 9x its input; the node keeps only
+        # the input (already allocated) and the output
+        x = randt((1, 8, 16, 16), seed=30)
+        w = randt((8, 8, 3, 3), seed=31)
+        w.requires_grad = True
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = T.conv2d(x, w, padding=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert retained < x.data.nbytes + out.data.nbytes + w.data.nbytes
+
+
+    def test_mixed_precision_input_gradient(self):
+        # float32 input, float64 weight: the column gradient is float64 and
+        # must not be written into the float32 rebuilt columns
+        x32 = randt((1, 2, 5, 5), seed=32, dtype=np.float32)
+        w = randt((3, 2, 3, 3), seed=33)
+        grads = []
+        for x in (x32, Tensor(x32.data.astype(np.float64))):
+            x.requires_grad = w.requires_grad = True
+            with Tape() as tape:
+                loss = T.tsum(T.sigmoid(T.conv2d(x, w, padding=1)))
+            T.backward(tape, loss)
+            grads.append(x.grad)
+        assert grads[0].dtype == np.float64
+        np.testing.assert_array_equal(grads[0], grads[1])
 
 
 class TestPrelu:
@@ -243,6 +279,43 @@ class TestBackward:
         T.backward(tape, loss)
         assert h.grad is None
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_non_grad_input_keeps_no_gradient(self):
+        x = randt((1, 2, 3, 3), seed=23)
+        x.requires_grad = True
+        c = randt((1, 2, 3, 3), seed=24)
+        with Tape() as tape:
+            loss = T.tsum(T.mul(x, c))
+        T.backward(tape, loss)
+        assert c.grad is None
+        np.testing.assert_array_equal(x.grad, c.data)
+
+    def test_backward_consumes_tape(self):
+        x = randt((1, 2, 3, 3), seed=25)
+        x.requires_grad = True
+        with Tape() as tape:
+            h = T.mul(x, x)
+            loss = T.tsum(T.sigmoid(h))
+        # the intermediate's buffer is held by the tape alone
+        alive = weakref.ref(h.data)
+        del h
+        T.backward(tape, loss)
+        assert tape.nodes == []
+        assert alive() is None
+
+    def test_second_backward_leaves_gradients(self):
+        x = randt((1, 2, 3, 3), seed=28)
+        w = randt((2, 2, 3, 3), seed=29)
+        x.requires_grad = w.requires_grad = True
+        with Tape() as tape:
+            loss = T.tsum(T.conv2d(x, w, padding=1))
+        T.backward(tape, loss)
+        first = [x.grad, w.grad]
+        copies = [g.copy() for g in first]
+        T.backward(tape, loss)
+        for t, g, copy in zip((x, w), first, copies):
+            assert t.grad is g
+            np.testing.assert_array_equal(t.grad, copy)
 
     def test_unreachable_tensor_gets_zeros(self):
         x = randt((1, 1, 2, 2), seed=17)
