@@ -13,7 +13,7 @@ from mirnet_forge.pipeline import aggregation_report
 
 
 def main():
-    for name, module in [("sum", SumFusion(64, 3)),
+    for name, module in [("sum", SumFusion()),
                          ("concat", ConcatFusion(64, 3)),
                          ("selective", SKFF(64, 3))]:
         counts, total = count_parameters(module)

@@ -8,7 +8,7 @@ values on simple inputs, which this script reproduces.
 import numpy as np
 
 from mirnet_forge.data import ImageBuffer, add_gaussian_noise
-from mirnet_forge.metrics import MetricConfig, psnr, ssim
+from mirnet_forge.metrics import psnr, ssim
 
 
 def main():
@@ -36,11 +36,10 @@ def main():
               f"psnr = {psnr(img, noisy):6.2f} dB, "
               f"ssim = {ssim(img, noisy):.4f}")
 
-    ycfg = MetricConfig(channel_mode="y_channel")
     noisy = add_gaussian_noise(img, 25, seed=1)
     print("\nsame pair scored on the BT.601 luma channel only:")
-    print(f"  psnr = {psnr(img, noisy, ycfg):.2f} dB, "
-          f"ssim = {ssim(img, noisy, ycfg):.4f}")
+    print(f"  psnr = {psnr(img, noisy, 'y_channel'):.2f} dB, "
+          f"ssim = {ssim(img, noisy, 'y_channel'):.4f}")
 
 
 if __name__ == "__main__":

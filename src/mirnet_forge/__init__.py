@@ -6,21 +6,19 @@ from .blocks import (DAU, MRB, RRG, SKFF, ChannelAttention, ConcatFusion,
 from .data import (DegradationSpec, ImageBuffer, PatchSampler,
                    add_gaussian_noise, bicubic_resize, degrade, load_ppm,
                    sample_batch, save_ppm)
-from .metrics import MetricConfig, psnr, ssim
-from .optim import (Adam, CharbonnierConfig, CosineSchedule, charbonnier_loss,
-                    cosine_lr)
+from .metrics import psnr, ssim
+from .optim import Adam, CosineSchedule, charbonnier_loss, cosine_lr
 from .tensor import (ContractError, ShapeError, Tape, Tensor, backward,
                      grad_check)
 
 __all__ = [
-    "Adam", "ChannelAttention", "CharbonnierConfig", "ConcatFusion",
-    "ContractError", "CosineSchedule", "DAU", "DegradationSpec", "ImageBuffer",
-    "MetricConfig", "MIRNet", "MRB", "NetworkConfig", "PatchSampler", "RRG",
-    "ResizeDown", "ResizeUp", "SKFF", "ShapeError", "SpatialAttention",
-    "SumFusion", "Tape", "Tensor", "add_gaussian_noise", "backward",
-    "bicubic_resize", "blur_pool", "charbonnier_loss", "cosine_lr",
-    "count_parameters", "degrade", "grad_check", "load_ppm", "psnr",
-    "sample_batch", "save_ppm", "ssim",
+    "Adam", "ChannelAttention", "ConcatFusion", "ContractError",
+    "CosineSchedule", "DAU", "DegradationSpec", "ImageBuffer", "MIRNet", "MRB",
+    "NetworkConfig", "PatchSampler", "RRG", "ResizeDown", "ResizeUp", "SKFF",
+    "ShapeError", "SpatialAttention", "SumFusion", "Tape", "Tensor",
+    "add_gaussian_noise", "backward", "bicubic_resize", "blur_pool",
+    "charbonnier_loss", "cosine_lr", "count_parameters", "degrade",
+    "grad_check", "load_ppm", "psnr", "sample_batch", "save_ppm", "ssim",
 ]
 
 __version__ = "0.1.0"

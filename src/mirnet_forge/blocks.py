@@ -15,6 +15,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor
 
+#: The network restores 8-bit RGB images.
+IMAGE_CHANNELS = 3
+
 
 @dataclass
 class NetworkConfig:
@@ -29,7 +32,6 @@ class NetworkConfig:
     n_streams: int = 3
     n_columns: int = 2
     base_channels: int = 64
-    image_channels: int = 3
 
     def validate(self):
         if self.n_streams < 1 or self.n_columns < 1:
@@ -83,8 +85,7 @@ def count_parameters(module: Module) -> tuple[dict[str, int], int]:
 class Conv2d(Module):
     """Convolution layer with Kaiming-uniform fan-in init and zero biases."""
 
-    def __init__(self, in_c, out_c, kernel, stride=1, padding=None,
-                 bias=True, dtype=np.float32, rng=None):
+    def __init__(self, in_c, out_c, kernel, bias=True, dtype=np.float32, rng=None):
         rng = rng or np.random.default_rng(0)
         # Kaiming-uniform fan-in with the standard leaky-slope correction
         # (gain^2 = 2/(1+5) = 1/3); keeps the deep unnormalized residual
@@ -95,18 +96,17 @@ class Conv2d(Module):
             rng.uniform(-bound, bound, (out_c, in_c, kernel, kernel)).astype(dtype),
             requires_grad=True)
         self.bias = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True) if bias else None
-        self._stride = stride
-        self._padding = kernel // 2 if padding is None else padding
 
     def __call__(self, x):
-        return T.conv2d(x, self.weight, self.bias, self._stride, self._padding)
+        return T.conv2d(x, self.weight, self.bias)
 
 
 class PReLU(Module):
-    """Parametric ReLU; n=1 gives one shared slope, otherwise per-channel."""
+    """Parametric ReLU with slopes starting at 0.25; n=1 gives one shared
+    slope, otherwise per-channel."""
 
-    def __init__(self, n, init=0.25, dtype=np.float32):
-        self.slope = Tensor(np.full(n, init, dtype=dtype), requires_grad=True)
+    def __init__(self, n, dtype=np.float32):
+        self.slope = Tensor(np.full(n, 0.25, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
         return T.prelu(x, self.slope)
@@ -182,11 +182,12 @@ class ChannelAttention(Module):
 
 
 class SpatialAttention(Module):
-    """Recalibration by a sigmoid map from channel-pooled mean/max planes."""
+    """Recalibration by a sigmoid map, a 5x5 convolution of the channel-pooled
+    mean/max planes."""
 
-    def __init__(self, kernel=5, dtype=np.float32, rng=None):
+    def __init__(self, dtype=np.float32, rng=None):
         rng = rng or np.random.default_rng(0)
-        self.conv = Conv2d(2, 1, kernel, dtype=dtype, rng=rng)
+        self.conv = Conv2d(2, 1, 5, dtype=dtype, rng=rng)
 
     def __call__(self, m):
         gate = T.sigmoid(self.conv(T.channel_pool(m)))
@@ -197,13 +198,13 @@ class DAU(Module):
     """Dual attention unit: channel and spatial attention in parallel on a
     convolutional feature map, merged and added back to the input."""
 
-    def __init__(self, channels, sa_kernel=5, dtype=np.float32, rng=None):
+    def __init__(self, channels, dtype=np.float32, rng=None):
         rng = rng or np.random.default_rng(0)
         self.conv1 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
         self.act = PReLU(channels, dtype=dtype)
         self.conv2 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
         self.ca = ChannelAttention(channels, dtype=dtype, rng=rng)
-        self.sa = SpatialAttention(sa_kernel, dtype=dtype, rng=rng)
+        self.sa = SpatialAttention(dtype=dtype, rng=rng)
         self.merge = Conv2d(2 * channels, channels, 1, dtype=dtype, rng=rng)
         self._channels = channels
 
@@ -367,17 +368,16 @@ class MIRNet(Module):
         config.validate()
         rng = np.random.default_rng(seed)
         c = config.base_channels
-        self.head = Conv2d(config.image_channels, c, 3, dtype=dtype, rng=rng)
+        self.head = Conv2d(IMAGE_CHANNELS, c, 3, dtype=dtype, rng=rng)
         self.rrg = [
             RRG(config, dtype=dtype, rng=rng) for _ in range(config.n_rrg)]
-        self.tail = Conv2d(c, config.image_channels, 3, dtype=dtype, rng=rng)
+        self.tail = Conv2d(c, IMAGE_CHANNELS, 3, dtype=dtype, rng=rng)
         self.config = config
 
     def __call__(self, image):
         n, c, h, w = image.data.shape
-        if c != self.config.image_channels:
-            raise ShapeError(
-                f"expected {self.config.image_channels}-channel input, got {c}")
+        if c != IMAGE_CHANNELS:
+            raise ShapeError(f"expected {IMAGE_CHANNELS}-channel input, got {c}")
         d = self.config.divisor
         if h % d or w % d:
             raise ShapeError(
@@ -395,9 +395,6 @@ class MIRNet(Module):
 
 class SumFusion(Module):
     """Parameter-free aggregation: plain element-wise sum of the branches."""
-
-    def __init__(self, channels, n_branches, dtype=np.float32, rng=None):
-        """Takes the other fusions' arguments and keeps none of them."""
 
     def __call__(self, branches):
         out = branches[0]

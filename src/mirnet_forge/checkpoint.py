@@ -78,8 +78,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"name at byte {start} is not UTF-8") from exc
         (rank,) = struct.unpack_from("<B", raw, take(1, f"rank of {name!r}"))
-        shape = struct.unpack_from(f"<{rank}I", raw, take(4 * rank, f"extents of {name!r}"))
+        extents = take(4 * rank, f"extents of {name!r}")
+        shape = struct.unpack_from(f"<{rank}I", raw, extents)
         count = math.prod(shape)
         start = take(4 * count, f"values of {name!r}")
-        out[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape).copy()
+        try:
+            values = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape)
+        except ValueError as exc:  # a zero extent beside extents too large for numpy
+            raise CheckpointError(f"extents of {name!r} at byte {extents}: {exc}") from exc
+        out[name] = values.copy()
     return out

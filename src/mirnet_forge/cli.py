@@ -20,7 +20,7 @@ from . import data as D
 from . import pipeline as P
 from . import tensor as T
 from .checkpoint import CheckpointError
-from .config import ConfigError
+from .config import ConfigError, validate_config
 from .verify import run_gradcheck_suite
 
 EXIT_OK = 0
@@ -119,21 +119,26 @@ def cmd_ablate(which: str, config_path: str, out_dir: str,
         (out / "aggregation.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
 
-    lines = ["rows\tcols\tparameters\tpsnr_db"]
+    cells = {}
     for rows_n in (1, 2, 3):
         for cols_n in (1, 2, 3):
-            cell = dataclasses.replace(
-                cfg.network, n_streams=rows_n, n_columns=cols_n)
-            net = B.MIRNet(cell, dtype=np.float32, seed=cfg.train.seed)
-            _, total = B.count_parameters(net)
-            psnr_cell = "-"
-            if train_steps > 0:
-                cell_cfg = dataclasses.replace(
-                    cfg, network=cell,
-                    train=dataclasses.replace(cfg.train, total_steps=train_steps))
-                _, ckpt = P.run_training(cell_cfg, out / f"r{rows_n}c{cols_n}")
-                psnr_cell = _fmt(P.run_eval(cell_cfg, ckpt).aggregate[0])
-            lines.append(f"{rows_n}\t{cols_n}\t{total}\t{psnr_cell}")
+            cells[rows_n, cols_n] = dataclasses.replace(
+                cfg, network=dataclasses.replace(
+                    cfg.network, n_streams=rows_n, n_columns=cols_n),
+                train=dataclasses.replace(cfg.train, total_steps=train_steps))
+    if train_steps > 0:
+        # every cell must be trainable before the first one trains
+        for cell in cells.values():
+            validate_config(cell)
+    lines = ["rows\tcols\tparameters\tpsnr_db"]
+    for (rows_n, cols_n), cell in cells.items():
+        net = B.MIRNet(cell.network, dtype=np.float32, seed=cfg.train.seed)
+        _, total = B.count_parameters(net)
+        psnr_cell = "-"
+        if train_steps > 0:
+            _, ckpt = P.run_training(cell, out / f"r{rows_n}c{cols_n}")
+            psnr_cell = _fmt(P.run_eval(cell, ckpt).aggregate[0])
+        lines.append(f"{rows_n}\t{cols_n}\t{total}\t{psnr_cell}")
     print("\n".join(lines))
     (out / "layout.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK

@@ -8,12 +8,13 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .blocks import NetworkConfig
 from .data import DegradationSpec, PatchSampler
-from .metrics import MetricConfig
-from .optim import CharbonnierConfig, CosineSchedule
+from .metrics import check_channel_mode
+from .optim import CosineSchedule, check_loss_mode
 
 
 class ConfigError(ValueError):
@@ -104,30 +105,35 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
             parsed = typ(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        if typ is float and not math.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value} is not finite")
         setattr(_target(cfg, path), attr, parsed)
     if seed is not None:
         cfg.train.seed = seed
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig):
-    """Each component checks its own settings; only the rules that relate
-    two components, or that no component consumes, live here."""
+def validate_config(cfg: RunConfig):
+    """Raise ConfigError unless `cfg` is a valid run.  Each component checks
+    its own settings; only the rules that relate two components, or that no
+    component consumes, live here."""
     t = cfg.train
     try:
         cfg.network.validate()
         cfg.data.spec.validate()
         CosineSchedule(t.lr_init, t.lr_min, t.total_steps).validate()
-        CharbonnierConfig(mode=t.loss_mode).validate()
+        check_loss_mode(t.loss_mode)
         PatchSampler(t.patch_size, t.batch).validate()
-        MetricConfig(channel_mode=cfg.eval.channel_mode).validate()
+        check_channel_mode(cfg.eval.channel_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if t.patch_size % cfg.network.divisor:
+    # patch_size % divisor, without building the 2^(n_streams - 1) divisor
+    shift = cfg.network.n_streams - 1
+    if t.patch_size >> shift << shift != t.patch_size:
         raise ConfigError(
             f"train.patch_size {t.patch_size} must be divisible by "
-            f"{cfg.network.divisor} for {cfg.network.n_streams} streams")
+            f"2^{shift} for {cfg.network.n_streams} streams")
     for key in ("seed", "checkpoint_every"):
         if getattr(t, key) < 0:
             raise ConfigError(f"train.{key} must be >= 0")

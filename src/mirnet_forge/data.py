@@ -89,7 +89,10 @@ def load_ppm(path) -> ImageBuffer:
         tok, off = token()
         if not tok.isdigit():
             raise ParseError(f"bad {name} field at byte {off}")
-        fields.append((int(tok), off))
+        try:
+            fields.append((int(tok), off))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"bad {name} field at byte {off}: {exc}") from exc
     (width, _), (height, _), (maxval, moff) = fields
     if maxval != 255:
         raise ParseError(f"unsupported maxval {maxval} at byte {moff}")
@@ -161,14 +164,13 @@ class DegradationSpec:
                 raise ContractError("gamma must be >= 1")
 
 
-def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int,
-                       stream: int = 0) -> ImageBuffer:
+def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:
     """Additive Gaussian noise in 8-bit units, rounded and clamped."""
     if sigma < 0:
         raise ContractError("sigma must be >= 0")
     if sigma == 0:
         return ImageBuffer(image.pixels.copy())
-    noise = _rng(seed, stream).normal(0.0, sigma, image.pixels.shape)
+    noise = _rng(seed).normal(0.0, sigma, image.pixels.shape)
     return ImageBuffer(_quantize(image.pixels.astype(np.float64) + noise))
 
 
@@ -235,8 +237,6 @@ def degrade(image: ImageBuffer, spec: DegradationSpec) -> tuple[ImageBuffer, Ima
 class PatchSampler:
     patch_size: int = 32
     batch: int = 4
-    hflip: bool = True
-    vflip: bool = True
     seed: int = 0
 
     def validate(self):
@@ -249,8 +249,9 @@ def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
                  batch_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw a batch of aligned input/target patches as float32 NCHW in [0, 1].
 
-    Crop positions and flips are uniform per (sampler.seed, batch_index);
-    the same crop and flips are applied to input and target.
+    Crop positions and horizontal and vertical flips are uniform per
+    (sampler.seed, batch_index); the same crop and flips are applied to input
+    and target.
     """
     sampler.validate()
     ps = sampler.patch_size
@@ -267,8 +268,8 @@ def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
         inp, tgt = pairs[idx]
         oy = int(rng.integers(0, inp.height - ps + 1))
         ox = int(rng.integers(0, inp.width - ps + 1))
-        fh = sampler.hflip and bool(rng.integers(0, 2))
-        fv = sampler.vflip and bool(rng.integers(0, 2))
+        fh = bool(rng.integers(0, 2))
+        fv = bool(rng.integers(0, 2))
         a = inp.pixels[oy:oy + ps, ox:ox + ps]
         b = tgt.pixels[oy:oy + ps, ox:ox + ps]
         a, b = apply_flips(a, fh, fv), apply_flips(b, fh, fv)

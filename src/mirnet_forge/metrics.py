@@ -10,7 +10,6 @@ downsampling prestep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,23 +20,19 @@ from .tensor import ContractError
 #: Distinguished sentinel for the PSNR of identical images.
 PSNR_INF = math.inf
 
+CHANNEL_MODES = ("rgb", "y_channel")
+#: 8-bit pixel values span [0, 255].
+DATA_RANGE = 255.0
+#: SSIM's Gaussian window: extent and standard deviation.
+WINDOW, SIGMA = 11, 1.5
+#: SSIM's stabilising constants are (K1 L)^2 and (K2 L)^2, L the data range.
+K1, K2 = 0.01, 0.03
+C1, C2 = (K1 * DATA_RANGE) ** 2, (K2 * DATA_RANGE) ** 2
 
-@dataclass
-class MetricConfig:
-    channel_mode: str = "rgb"
-    data_range: float = 255.0
-    window: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
 
-    def validate(self):
-        if self.channel_mode not in ("rgb", "y_channel"):
-            raise ContractError(f"unknown channel_mode {self.channel_mode!r}")
-        if self.data_range <= 0:
-            raise ContractError("data_range must be positive")
-        if self.window % 2 == 0 or self.window < 1:
-            raise ContractError("window extent must be odd and positive")
+def check_channel_mode(mode: str):
+    if mode not in CHANNEL_MODES:
+        raise ContractError(f"unknown channel_mode {mode!r}")
 
 
 def bt601_luma(pixels: np.ndarray) -> np.ndarray:
@@ -51,56 +46,53 @@ def _planes(image: ImageBuffer, mode: str) -> np.ndarray:
     return image.pixels.astype(np.float64)
 
 
-def psnr(a: ImageBuffer, b: ImageBuffer, cfg: MetricConfig | None = None) -> float:
-    cfg = cfg or MetricConfig()
-    cfg.validate()
+def psnr(a: ImageBuffer, b: ImageBuffer, channel_mode: str = "rgb") -> float:
+    check_channel_mode(channel_mode)
     if (a.width, a.height) != (b.width, b.height):
         raise ContractError(
             f"extent mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
-    pa = _planes(a, cfg.channel_mode)
-    pb = _planes(b, cfg.channel_mode)
+    pa = _planes(a, channel_mode)
+    pb = _planes(b, channel_mode)
     mse = float(np.mean((pa - pb) ** 2))
     if mse == 0.0:
         return PSNR_INF
-    return 10.0 * math.log10(cfg.data_range ** 2 / mse)
+    return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
 
 
-def _gaussian_window(extent: int, sigma: float) -> np.ndarray:
-    r = np.arange(extent) - (extent - 1) / 2.0
-    g = np.exp(-(r ** 2) / (2.0 * sigma ** 2))
+def _gaussian_window() -> np.ndarray:
+    r = np.arange(WINDOW) - (WINDOW - 1) / 2.0
+    g = np.exp(-(r ** 2) / (2.0 * SIGMA ** 2))
     w = np.outer(g, g)
     return w / w.sum()
 
 
-def _ssim_plane(x: np.ndarray, y: np.ndarray, cfg: MetricConfig) -> float:
-    win = _gaussian_window(cfg.window, cfg.sigma)
-    c1 = (cfg.k1 * cfg.data_range) ** 2
-    c2 = (cfg.k2 * cfg.data_range) ** 2
+_GAUSSIAN = _gaussian_window()
 
+
+def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
     def filt(img):
-        v = sliding_window_view(img, (cfg.window, cfg.window))
-        return np.tensordot(v, win, axes=([2, 3], [0, 1]))
+        v = sliding_window_view(img, (WINDOW, WINDOW))
+        return np.tensordot(v, _GAUSSIAN, axes=([2, 3], [0, 1]))
 
     mu_x = filt(x)
     mu_y = filt(y)
     var_x = filt(x * x) - mu_x ** 2
     var_y = filt(y * y) - mu_y ** 2
     cov = filt(x * y) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
+    num = (2.0 * mu_x * mu_y + C1) * (2.0 * cov + C2)
+    den = (mu_x ** 2 + mu_y ** 2 + C1) * (var_x + var_y + C2)
     return float(np.mean(num / den))
 
 
-def ssim(a: ImageBuffer, b: ImageBuffer, cfg: MetricConfig | None = None) -> float:
-    cfg = cfg or MetricConfig()
-    cfg.validate()
+def ssim(a: ImageBuffer, b: ImageBuffer, channel_mode: str = "rgb") -> float:
+    check_channel_mode(channel_mode)
     if (a.width, a.height) != (b.width, b.height):
         raise ContractError(
             f"extent mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
-    if a.width < cfg.window or a.height < cfg.window:
+    if a.width < WINDOW or a.height < WINDOW:
         raise ContractError(
-            f"image {a.width}x{a.height} smaller than the {cfg.window}x{cfg.window} window")
-    pa = _planes(a, cfg.channel_mode)
-    pb = _planes(b, cfg.channel_mode)
-    scores = [_ssim_plane(pa[..., c], pb[..., c], cfg) for c in range(pa.shape[-1])]
+            f"image {a.width}x{a.height} smaller than the {WINDOW}x{WINDOW} window")
+    pa = _planes(a, channel_mode)
+    pb = _planes(b, channel_mode)
+    scores = [_ssim_plane(pa[..., c], pb[..., c]) for c in range(pa.shape[-1])]
     return float(np.mean(scores))

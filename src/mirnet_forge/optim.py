@@ -11,31 +11,28 @@ from . import tensor as T
 from .tensor import ContractError, ShapeError, Tensor
 
 
-@dataclass
-class CharbonnierConfig:
-    """epsilon is the smoothing constant; mode picks between the per-element
-    mean of sqrt(d^2 + eps^2) and the literal global norm sqrt(sum d^2 + eps^2)."""
-    epsilon: float = 1e-3
-    mode: str = "per_pixel_mean"
+#: Charbonnier smoothing constant.
+EPSILON = 1e-3
+#: "per_pixel_mean" is the per-element mean of sqrt(d^2 + eps^2),
+#: "global_norm" the literal global norm sqrt(sum d^2 + eps^2).
+LOSS_MODES = ("per_pixel_mean", "global_norm")
 
-    def validate(self):
-        if self.epsilon <= 0:
-            raise ContractError("epsilon must be positive")
-        if self.mode not in ("per_pixel_mean", "global_norm"):
-            raise ContractError(f"unknown loss mode {self.mode!r}")
+
+def check_loss_mode(mode: str):
+    if mode not in LOSS_MODES:
+        raise ContractError(f"unknown loss mode {mode!r}")
 
 
 def charbonnier_loss(pred: Tensor, target: Tensor,
-                     cfg: CharbonnierConfig | None = None) -> Tensor:
+                     mode: str = "per_pixel_mean") -> Tensor:
     """Smooth L1-like penalty, differentiable at zero difference."""
-    cfg = cfg or CharbonnierConfig()
-    cfg.validate()
+    check_loss_mode(mode)
     if pred.data.shape != target.data.shape:
         raise ShapeError(
             f"shape mismatch: {pred.data.shape} vs {target.data.shape}")
     d = pred.data - target.data
-    eps2 = cfg.epsilon * cfg.epsilon
-    if cfg.mode == "per_pixel_mean":
+    eps2 = EPSILON * EPSILON
+    if mode == "per_pixel_mean":
         root = np.sqrt(d * d + eps2)
         out = np.asarray(root.mean(), dtype=d.dtype)
 
@@ -88,12 +85,9 @@ class Adam:
     """
 
     BLOCK = 1 << 16
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -109,8 +103,8 @@ class Adam:
         if lr <= 0:
             raise ContractError("lr must be positive")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         self.init_state(params)
         for name, p in params.items():
             g = np.zeros_like(p.data) if p.grad is None else p.grad
@@ -126,18 +120,18 @@ class Adam:
                 g, m, v, w = (a[start:start + self.BLOCK] for a in flat)
                 s, r = scratch[:, :w.size]
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
-                np.multiply(g, 1.0 - self.beta1, out=s)
-                m *= self.beta1
+                np.multiply(g, 1.0 - self.BETA1, out=s)
+                m *= self.BETA1
                 m += s
                 np.multiply(g, g, out=s)
-                s *= 1.0 - self.beta2
-                v *= self.beta2
+                s *= 1.0 - self.BETA2
+                v *= self.BETA2
                 v += s
                 # w -= lr (m / c1) / (sqrt(v / c2) + eps)
                 np.divide(m, c1, out=s)
                 np.divide(v, c2, out=r)
                 np.sqrt(r, out=r)
-                r += self.eps
+                r += self.EPS
                 s *= lr
                 s /= r
                 w -= s

@@ -79,8 +79,7 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     sched = O.CosineSchedule(cfg.train.lr_init, cfg.train.lr_min,
                              cfg.train.total_steps)
     sampler = D.PatchSampler(cfg.train.patch_size, cfg.train.batch,
-                             hflip=True, vflip=True, seed=cfg.train.seed)
-    loss_cfg = O.CharbonnierConfig(mode=cfg.train.loss_mode)
+                             seed=cfg.train.seed)
 
     rows = ["step,lr,loss"]
     for step in range(cfg.train.total_steps):
@@ -90,7 +89,7 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
         net.zero_grad()
         with T.Tape() as tape:
             pred = net(Tensor(x))
-            loss = O.charbonnier_loss(pred, Tensor(y), loss_cfg)
+            loss = O.charbonnier_loss(pred, Tensor(y), cfg.train.loss_mode)
         value = loss.item()
         if not math.isfinite(value):
             raise NumericalError(f"non-finite loss at step {step}")
@@ -166,12 +165,12 @@ class EvalReport:
 def run_eval(cfg: RunConfig, checkpoint_path: str,
              manifest_path: str | None = None) -> EvalReport:
     net = load_network(cfg, checkpoint_path)
-    mcfg = M.MetricConfig(channel_mode=cfg.eval.channel_mode)
+    mode = cfg.eval.channel_mode
     rows, baseline = [], []
     for name, inp, tgt in build_pairs(cfg, manifest_path or cfg.data.manifest):
         restored = restore_image(net, inp)
-        rows.append((name, M.psnr(restored, tgt, mcfg), M.ssim(restored, tgt, mcfg)))
-        baseline.append((M.psnr(inp, tgt, mcfg), M.ssim(inp, tgt, mcfg)))
+        rows.append((name, M.psnr(restored, tgt, mode), M.ssim(restored, tgt, mode)))
+        baseline.append((M.psnr(inp, tgt, mode), M.ssim(inp, tgt, mode)))
     mean = lambda scores: tuple(sum(col) / len(col) for col in zip(*scores))
     return EvalReport(cfg.eval.channel_mode, rows,
                       aggregate=mean([r[1:] for r in rows]),
@@ -181,7 +180,7 @@ def run_eval(cfg: RunConfig, checkpoint_path: str,
 def aggregation_report(channels: int = 64, branches: int = 3) -> list[str]:
     """Parameter counts of the three fusion strategies at reference width."""
     totals = {name: B.count_parameters(module)[1] for name, module in (
-        ("sum", B.SumFusion(channels, branches)),
+        ("sum", B.SumFusion()),
         ("concat", B.ConcatFusion(channels, branches, dtype=np.float64)),
         ("skff", B.SKFF(channels, branches, dtype=np.float64)))}
     return ["method\tparameters",

@@ -221,34 +221,33 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 # convolution
 
 
-def _im2col(xd, kh, kw, stride, padding, oh, ow):
-    """Column matrix (N, C*kh*kw, oh*ow) in a fresh buffer of its own."""
+def _im2col(xd, kh, kw):
+    """Column matrix (N, C*kh*kw, H*W) of the zero-padded input, in a fresh
+    buffer of its own."""
     n, c, h, w = xd.shape
-    if padding:
-        xd, inner = np.zeros((n, c, h + 2 * padding, w + 2 * padding), xd.dtype), xd
-        xd[:, :, padding:padding + h, padding:padding + w] = inner
-    sn, sc, sh, sw = xd.strides
-    cols = as_strided(
-        xd, (n, c, kh, kw, oh, ow),
-        (sn, sc, sh, sw, sh * stride, sw * stride))
-    return cols.copy().reshape(n, c * kh * kw, oh * ow)
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), xd.dtype)
+    padded[:, :, ph:ph + h, pw:pw + w] = xd
+    sn, sc, sh, sw = padded.strides
+    cols = as_strided(padded, (n, c, kh, kw, h, w), (sn, sc, sh, sw, sh, sw))
+    return cols.copy().reshape(n, c * kh * kw, h * w)
 
 
-def _col2im(gcols, x_shape, kh, kw, stride, padding, oh, ow):
+def _col2im(gcols, x_shape, kh, kw):
     n, c, h, w = x_shape
-    gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-    gx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=gcols.dtype)
+    ph, pw = kh // 2, kw // 2
+    gcols = gcols.reshape(n, c, kh, kw, h, w)
+    gx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
-    if padding:
-        gx = gx[:, :, padding:-padding, padding:-padding]
-    return gx
+            gx[:, :, i:i + h, j:j + w] += gcols[:, :, i, j]
+    return gx[:, :, ph:ph + h, pw:pw + w]
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding (deep-learning convention)."""
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """2-D cross-correlation at stride 1, zero-padded by half the (odd) kernel
+    so the output keeps the input's extent (deep-learning convention).
+    Every downsampling in the network is done by `binomial_stride2`."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
     n, cin, h, w = x.data.shape
@@ -257,35 +256,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"input has {cin} channels, weight expects {wcin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel extents must be odd, got {kh}x{kw}")
-    if stride < 1 or padding < 0:
-        raise ContractError("stride must be >= 1 and padding >= 0")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"non-positive output extent {oh}x{ow} for input {h}x{w}")
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
     # A pointwise kernel's column matrix is the input itself; any other is
     # kh*kw times the input, so the node keeps the input and backward rebuilds it.
-    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    pointwise = kh == kw == 1
 
     def columns():
         if pointwise:
             return x.data.reshape(n, cin, h * w)
-        return _im2col(x.data, kh, kw, stride, padding, oh, ow)
+        return _im2col(x.data, kh, kw)
 
     w2 = weight.data.reshape(cout, -1)
     out = np.matmul(w2, columns())
     if bias is not None:
         out = out + bias.data[None, :, None]
-    out = out.reshape(n, cout, oh, ow)
+    out = out.reshape(n, cout, h, w)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
     def back(g):
-        g2 = g.reshape(n, cout, oh * ow)
+        g2 = g.reshape(n, cout, h * w)
         cols = columns()
         gw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(weight.data.shape)
         if pointwise:
@@ -294,7 +286,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # the rebuilt columns are read no more: gcols may reuse them
             reuse = cols.dtype == np.result_type(w2, g2)
             gcols = np.matmul(w2.T, g2, out=cols if reuse else None)
-            gx = _col2im(gcols, x.data.shape, kh, kw, stride, padding, oh, ow)
+            gx = _col2im(gcols, x.data.shape, kh, kw)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -483,23 +475,23 @@ class GradCheckReport:
 
 
 def grad_check(f, wrt: Tensor | list[Tensor], step: float = 1e-5,
-               tolerance: float = 1e-4, max_coords: int | None = None,
-               seed: int = 0, order: int = 2,
+               tolerance: float = 1e-4, max_coords: int | None = None, seed: int = 0,
                fallbacks: list[tuple[float, int]] | None = None) -> GradCheckReport:
     """Compare analytic gradients of scalar-valued f against central differences.
 
     `f` is called with no arguments and must close over the tensors in `wrt`.
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8).  With
     `max_coords`, a deterministic random subset of coordinates is checked for
-    each tensor (full coverage otherwise).  `order` selects the 2-point or
-    4th-order 5-point central stencil.
+    each tensor (full coverage otherwise).  The primary stencil is the
+    2-point central difference.
 
     No single step suits every coordinate of a deep composition: wide steps
     cross activation kinks, narrow steps drown near-zero gradients in float64
-    roundoff.  `fallbacks` lists extra (step, order) stencils tried only for
-    coordinates that fail at the primary step; a coordinate's error is the
-    minimum over stencils.  A wrong backward rule disagrees with every
-    stencil, so this does not mask real gradient bugs.
+    roundoff.  `fallbacks` lists extra (step, order) stencils, order 2 or the
+    4th-order 5-point stencil, tried only for coordinates that fail at the
+    primary step; a coordinate's error is the minimum over stencils.  A wrong
+    backward rule disagrees with every stencil, so this does not mask real
+    gradient bugs.
     """
     tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
     for t in tensors:
@@ -524,7 +516,7 @@ def grad_check(f, wrt: Tensor | list[Tensor], step: float = 1e-5,
             idx = range(size)
         flat = t.data.reshape(-1)
         aflat = analytic.reshape(-1)
-        for o in (order, *(o for _, o in fallbacks or [])):
+        for _, o in fallbacks or []:
             if o not in (2, 4):
                 raise ContractError("order must be 2 or 4")
         for i in idx:
@@ -549,7 +541,7 @@ def grad_check(f, wrt: Tensor | list[Tensor], step: float = 1e-5,
                 abs_err = abs(a - num)
                 return abs_err, abs_err / max(abs(a), abs(num), 1e-8)
 
-            abs_err, rel_err = errors(quotient(step, order))
+            abs_err, rel_err = errors(quotient(step, 2))
             if rel_err > tolerance and fallbacks:
                 for h, o in fallbacks:
                     fa, fr = errors(quotient(h, o))

@@ -95,7 +95,7 @@ def toy(tmp_path_factory):
 
 def test_criterion_01_gradient_correctness():
     started = time.time()
-    reports = run_gradcheck_suite(tolerance=1e-4)
+    reports = run_gradcheck_suite()
     elapsed = time.time() - started
     names = [r.name for r in reports]
     expected = {"conv", "prelu", "sigmoid", "gap", "channel_pool",
@@ -112,7 +112,7 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_aggregation_parameter_counts():
-    _, n_sum = B.count_parameters(B.SumFusion(64, 3))
+    _, n_sum = B.count_parameters(B.SumFusion())
     _, n_concat = B.count_parameters(B.ConcatFusion(64, 3))
     _, n_skff = B.count_parameters(B.SKFF(64, 3))
     ratio = n_concat / n_skff

@@ -81,8 +81,8 @@ def _mrb_n(cfg):
 def _network_n(cfg):
     c = cfg.base_channels
     rrg = _conv_n(c, c, 3) + cfg.mrb_per_rrg * _mrb_n(cfg) + _conv_n(c, c, 3)
-    return (_conv_n(cfg.image_channels, c, 3) + cfg.n_rrg * rrg
-            + _conv_n(c, cfg.image_channels, 3))
+    # RGB in, RGB out
+    return _conv_n(3, c, 3) + cfg.n_rrg * rrg + _conv_n(c, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +429,10 @@ class TestRRGAndNetwork:
 
 class TestFusionVariants:
     def test_sum_fusion_has_no_parameters(self):
-        assert count_parameters(SumFusion(64, 3))[1] == 0
+        assert count_parameters(SumFusion())[1] == 0
 
     def test_sum_fusion_value(self):
-        sf = SumFusion(4, 2)
+        sf = SumFusion()
         a = Tensor(RNG(0).normal(size=(1, 4, 3, 3)))
         b = Tensor(RNG(1).normal(size=(1, 4, 3, 3)))
         assert np.array_equal(sf([a, b]).data, a.data + b.data)

@@ -304,6 +304,20 @@ BAD_INPUTS = {
     "eval_shape_mismatch": (b"network.base_channels = 16\n",
                             ["eval", "--checkpoint", "{ckpt}"],
                             cli.EXIT_CONFIG, "checkpoint error"),
+    "noise_sigma_nan": (b"data.noise_sigma = nan\n", ["train", "--out", "{root}/run"],
+                        cli.EXIT_CONFIG, "config error"),
+    "gamma_nan": (b"data.task = enhance\ndata.gamma = nan\n",
+                  ["train", "--out", "{root}/run"], cli.EXIT_CONFIG, "config error"),
+    "lr_init_inf": (b"train.lr_init = inf\n", ["train", "--out", "{root}/run"],
+                    cli.EXIT_CONFIG, "config error"),
+    # 2^64 streams: the patch-divisibility rule must not build 2^(2^64 - 1)
+    "n_streams_huge": (b"network.n_streams = 18446744073709551616\n",
+                       ["train", "--out", "{root}/run"], cli.EXIT_CONFIG, "config error"),
+    # patch 6 suits 2 streams, not the grid's 3-stream cells
+    "ablate_layout_cell_patch": (
+        b"train.patch_size = 6\n",
+        ["ablate", "layout", "--out", "{root}/ablate", "--train-steps", "1"],
+        cli.EXIT_CONFIG, "config error"),
 }
 
 

@@ -256,28 +256,24 @@ class TestSampling:
             assert vals[0] in allowed
 
     def test_crop_positions_cover_extremes(self):
-        # 32x32 image, 8x8 patches: marker rows/columns at the borders are
-        # only reachable from offset 0 or the maximum offset.
+        # 32x32 image, 8x8 patches, random flips: each border has its own
+        # value and is only reachable from offset 0 or the maximum offset; a
+        # flip moves it to the other end of the patch.
         px = np.zeros((32, 32, 3), dtype=np.uint8)
-        px[0, :] = 255
-        px[-1, :] = 255
-        px[:, 0] = 255
-        px[:, -1] = 255
+        px[0, :, 0], px[-1, :, 0] = 60, 120     # rows in channel 0
+        px[:, 0, 1], px[:, -1, 1] = 60, 120     # columns in channel 1
         img = ImageBuffer(px)
+        borders = {"top": (0, 60), "bottom": (0, 120),
+                   "left": (1, 60), "right": (1, 120)}
         seen = set()
         for bi in range(8):
-            x, _ = sample_batch([(img, img)],
-                                PatchSampler(8, 256, hflip=False,
-                                             vflip=False, seed=6), bi)
-            for patch in x:
-                if np.all(patch[0, 0, :] == 1.0):
-                    seen.add("top")
-                if np.all(patch[0, -1, :] == 1.0):
-                    seen.add("bottom")
-                if np.all(patch[0, :, 0] == 1.0):
-                    seen.add("left")
-                if np.all(patch[0, :, -1] == 1.0):
-                    seen.add("right")
+            x, _ = sample_batch([(img, img)], PatchSampler(8, 256, seed=6), bi)
+            for patch in np.rint(x * 255):
+                for name, (channel, value) in borders.items():
+                    # columns of channel 1 become rows
+                    plane = patch[0] if channel == 0 else patch[1].T
+                    if np.all(plane[0] == value) or np.all(plane[-1] == value):
+                        seen.add(name)
         assert seen == {"top", "bottom", "left", "right"}
 
     def test_small_image_rejected(self):

@@ -7,7 +7,7 @@ import pytest
 
 from mirnet_forge.data import ImageBuffer, add_gaussian_noise
 from mirnet_forge.metrics import (
-    PSNR_INF, MetricConfig, bt601_luma, psnr, ssim)
+    PSNR_INF, bt601_luma, psnr, ssim)
 from mirnet_forge.tensor import ContractError
 
 from oracles import psnr_loops, ssim_plane_loops
@@ -45,7 +45,7 @@ class TestPSNR:
     def test_y_channel_mode(self):
         a = _random_image(2)
         b = _random_image(3)
-        val = psnr(a, b, MetricConfig(channel_mode="y_channel"))
+        val = psnr(a, b, channel_mode="y_channel")
         ya, yb = bt601_luma(a.pixels), bt601_luma(b.pixels)
         mse = np.mean((ya - yb) ** 2)
         assert np.isclose(val, 10.0 * math.log10(255.0 ** 2 / mse), rtol=1e-12)
@@ -56,7 +56,7 @@ class TestPSNR:
         g2 = RNG(5).integers(0, 256, (8, 8, 1), dtype=np.uint8)
         b = ImageBuffer(np.repeat(g2, 3, axis=2))
         assert np.isclose(psnr(a, b),
-                          psnr(a, b, MetricConfig(channel_mode="y_channel")),
+                          psnr(a, b, channel_mode="y_channel"),
                           rtol=1e-9)
 
     def test_extent_mismatch_rejected(self):
@@ -64,13 +64,9 @@ class TestPSNR:
             psnr(_random_image(6, 8, 8), _random_image(7, 8, 10))
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ContractError):
-            psnr(_random_image(8), _random_image(9),
-                 MetricConfig(channel_mode="lab"))
-        with pytest.raises(ContractError):
-            MetricConfig(window=10).validate()
-        with pytest.raises(ContractError):
-            MetricConfig(data_range=0).validate()
+        for metric in (psnr, ssim):
+            with pytest.raises(ContractError, match="unknown channel_mode 'lab'"):
+                metric(_random_image(8), _random_image(9), channel_mode="lab")
 
 
 class TestSSIM:
@@ -103,7 +99,7 @@ class TestSSIM:
         a = _random_image(80, 14, 14)
         b = _random_image(81, 14, 14)
         expected = ssim_plane_loops(bt601_luma(a.pixels), bt601_luma(b.pixels))
-        val = ssim(a, b, MetricConfig(channel_mode="y_channel"))
+        val = ssim(a, b, channel_mode="y_channel")
         assert abs(val - expected) < 1e-6
 
     def test_symmetry(self):
