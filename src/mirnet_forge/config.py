@@ -8,7 +8,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .blocks import NetworkConfig
@@ -105,8 +104,6 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
             parsed = typ(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        if typ is float and not math.isfinite(parsed):
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value} is not finite")
         setattr(_target(cfg, path), attr, parsed)
     if seed is not None:
         cfg.train.seed = seed

@@ -7,6 +7,7 @@ the Philox counter-based generator keyed as Philox(key=[seed, stream]) so a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,9 @@ class DegradationSpec:
     def validate(self):
         if self.task not in ("denoise", "super_resolve", "enhance"):
             raise ContractError(f"unknown task {self.task!r}")
+        for name in ("noise_sigma", "exposure_gain", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.task == "denoise" and self.noise_sigma < 0:
             raise ContractError("noise_sigma must be >= 0")
         if self.task == "super_resolve" and self.scale_factor not in (2, 3, 4):

@@ -57,6 +57,8 @@ class CosineSchedule:
     total_steps: int = 700_000
 
     def validate(self):
+        if not (math.isfinite(self.lr_init) and math.isfinite(self.lr_min)):
+            raise ContractError("lr_init and lr_min must be finite")
         if not (self.lr_init > self.lr_min > 0):
             raise ContractError("require lr_init > lr_min > 0")
         if self.total_steps < 1:

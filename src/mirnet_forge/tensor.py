@@ -222,26 +222,18 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
 
 
 def _im2col(xd, kh, kw):
-    """Column matrix (N, C*kh*kw, H*W) of the zero-padded input, in a fresh
-    buffer of its own."""
+    """Column matrix (N, C*kh*kw, H*W) of the zero-padded input.  A pointwise
+    kernel's is a view of the input; any other's is a fresh buffer kh*kw
+    times the input's size."""
     n, c, h, w = xd.shape
+    if kh == kw == 1:
+        return xd.reshape(n, c, h * w)
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), xd.dtype)
     padded[:, :, ph:ph + h, pw:pw + w] = xd
     sn, sc, sh, sw = padded.strides
     cols = as_strided(padded, (n, c, kh, kw, h, w), (sn, sc, sh, sw, sh, sw))
     return cols.copy().reshape(n, c * kh * kw, h * w)
-
-
-def _col2im(gcols, x_shape, kh, kw):
-    n, c, h, w = x_shape
-    ph, pw = kh // 2, kw // 2
-    gcols = gcols.reshape(n, c, kh, kw, h, w)
-    gx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i:i + h, j:j + w] += gcols[:, :, i, j]
-    return gx[:, :, ph:ph + h, pw:pw + w]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -259,34 +251,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
-    # A pointwise kernel's column matrix is the input itself; any other is
-    # kh*kw times the input, so the node keeps the input and backward rebuilds it.
-    pointwise = kh == kw == 1
-
-    def columns():
-        if pointwise:
-            return x.data.reshape(n, cin, h * w)
-        return _im2col(x.data, kh, kw)
-
-    w2 = weight.data.reshape(cout, -1)
-    out = np.matmul(w2, columns())
+    out = np.matmul(weight.data.reshape(cout, -1), _im2col(x.data, kh, kw))
     if bias is not None:
         out = out + bias.data[None, :, None]
     out = out.reshape(n, cout, h, w)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
+    # The node keeps the input, not its columns (kh*kw times its size):
+    # backward rebuilds them for gw and drops them before building g's.
     def back(g):
         g2 = g.reshape(n, cout, h * w)
-        cols = columns()
-        gw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(weight.data.shape)
-        if pointwise:
-            gx = np.matmul(w2.T, g2).reshape(x.data.shape)
-        else:
-            # the rebuilt columns are read no more: gcols may reuse them
-            reuse = cols.dtype == np.result_type(w2, g2)
-            gcols = np.matmul(w2.T, g2, out=cols if reuse else None)
-            gx = _col2im(gcols, x.data.shape, kh, kw)
+        cols = _im2col(x.data, kh, kw)
+        # per-sample products: no transposed copy of the columns, and at
+        # batch 1 no copy of gw
+        gw = g2[0] @ cols[0].T
+        for i in range(1, n):
+            gw += g2[i] @ cols[i].T
+        del cols
+        # gx is the "same" convolution of g with the flipped kernel, its
+        # input and output channels swapped.  The kernel is copied
+        # channel-last (long contiguous runs, about half the cost of a
+        # channel-first copy) and enters the GEMM as a transposed operand.
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, cin).T
+        gx = np.matmul(flipped, _im2col(g, kh, kw)).reshape(x.data.shape)
+        gw = gw.reshape(weight.data.shape)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

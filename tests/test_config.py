@@ -64,7 +64,11 @@ class TestConfigParsing:
                      "eval.channel_mode = lab\n",
                      "data.task = sharpen\n",
                      "network.n_streams = 0\n",
-                     "train.total_steps = 0\n"):
+                     "train.total_steps = 0\n",
+                     # gamma is unused by denoising but must still be finite
+                     "data.task = denoise\ndata.gamma = nan\n",
+                     "data.exposure_gain = -inf\n",
+                     "train.lr_min = 1e309\n"):
             with pytest.raises(ConfigError):
                 parse_config(text)
 

@@ -214,6 +214,13 @@ class TestDegrade:
             with pytest.raises(ContractError):
                 degrade(img, spec)
 
+    @pytest.mark.parametrize("task", ["denoise", "super_resolve", "enhance"])
+    @pytest.mark.parametrize("field", ["noise_sigma", "exposure_gain", "gamma"])
+    def test_nan_rejected_for_every_task(self, task, field):
+        # every comparison with NaN is false: range checks alone pass it
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            DegradationSpec(task=task, **{field: float("nan")}).validate()
+
 
 class TestSampling:
     def _pairs(self, n=3, h=16, w=16):

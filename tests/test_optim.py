@@ -101,6 +101,12 @@ class TestCosineSchedule:
         with pytest.raises(ContractError):
             cosine_lr(0, CosineSchedule(total_steps=0))
 
+    @pytest.mark.parametrize("field", ["lr_init", "lr_min"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rate_rejected(self, field, value):
+        with pytest.raises(ContractError, match="must be finite"):
+            CosineSchedule(**{field: value}).validate()
+
 
 def _adam_loops(data, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Scalar-loop reference of bias-corrected Adam over a step sequence."""

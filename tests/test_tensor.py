@@ -87,9 +87,42 @@ class TestConv2d:
         assert retained < x.data.nbytes + out.data.nbytes + w.data.nbytes
 
 
+    @pytest.mark.parametrize("kernel", [(5, 5), (3, 5)], ids=["5x5", "3x5"])
+    def test_gradients_match_finite_differences(self, kernel):
+        # the input gradient convolves with the flipped kernel: a non-square
+        # kernel catches kh and kw swapped
+        x = randt((2, 3, 6, 7), seed=34)
+        w = randt((4, 3) + kernel, seed=35)
+        b = randt((4,), seed=36)
+        rep = T.grad_check(lambda: T.tsum(T.sigmoid(T.conv2d(x, w, b))), [x, w, b])
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("xshape, wshape", [
+        ((4, 8, 32, 32), (8, 8, 3, 3)),
+        ((4, 2, 32, 32), (1, 2, 5, 5)),
+        ((1, 256, 8, 8), (256, 256, 3, 3))], ids=["desk", "spatial", "ref"])
+    def test_float32_gradients_within_stated_tolerance(self, xshape, wshape):
+        # float32 x.grad and w.grad agree with float64 within 2e-6 of the
+        # float64 gradient's max-norm
+        x64 = randt(xshape, seed=37)
+        w64 = Tensor(0.1 * randt(wshape, seed=38).data)
+        g = randt((xshape[0], wshape[0]) + xshape[2:], seed=39)
+        grads = []
+        for dtype in (np.float64, np.float32):
+            x = Tensor(x64.data.astype(dtype), requires_grad=True)
+            w = Tensor(w64.data.astype(dtype), requires_grad=True)
+            with Tape() as tape:
+                loss = T.tsum(T.mul(T.conv2d(x, w), Tensor(g.data.astype(dtype))))
+            T.backward(tape, loss)
+            grads.append((x.grad, w.grad))
+        for exact, single in zip(*grads):
+            assert single.dtype == np.float32
+            bound = 2e-6 * np.abs(exact).max()
+            assert np.abs(single - exact).max() <= bound
+
     def test_mixed_precision_input_gradient(self):
-        # float32 input, float64 weight: the column gradient is float64 and
-        # must not be written into the float32 rebuilt columns
+        # float32 input, float64 weight: the input gradient promotes to
+        # float64 and equals the float64 input's
         x32 = randt((1, 2, 5, 5), seed=32, dtype=np.float32)
         w = randt((3, 2, 3, 3), seed=33)
         grads = []
