@@ -206,12 +206,8 @@ class DAU(Module):
         self.ca = ChannelAttention(channels, dtype=dtype, rng=rng)
         self.sa = SpatialAttention(dtype=dtype, rng=rng)
         self.merge = Conv2d(2 * channels, channels, 1, dtype=dtype, rng=rng)
-        self._channels = channels
 
     def __call__(self, x):
-        if x.data.shape[1] != self._channels:
-            raise ShapeError(
-                f"DAU built for {self._channels} channels, got {x.data.shape[1]}")
         m = self.conv2(self.act(self.conv1(x)))
         fused = self.merge(T.concat([self.ca(m), self.sa(m)], axis=1))
         return T.add(x, fused)
@@ -254,8 +250,6 @@ class ResizeUp(Module):
         self.skip = Conv2d(channels, channels // 2, 1, dtype=dtype, rng=rng)
 
     def __call__(self, x):
-        if x.data.shape[1] % 2:
-            raise ShapeError("upsampling requires an even channel count")
         main = self.conv3(T.bilinear_upsample2x(self.conv2(self.act(self.conv1(x)))))
         return T.add(main, self.skip(T.bilinear_upsample2x(x)))
 
@@ -328,13 +322,8 @@ class MRB(Module):
             ResizeChain(s, 0, c, dtype=dtype, rng=rng) for s in range(s_count)]
         self.skff_final = SKFF(c, s_count, dtype=dtype, rng=rng)
         self.conv_out = Conv2d(c, c, 3, dtype=dtype, rng=rng)
-        self._divisor = config.divisor
 
     def __call__(self, x):
-        n, c, h, w = x.data.shape
-        if h % self._divisor or w % self._divisor:
-            raise ShapeError(
-                f"spatial extents {h}x{w} must be divisible by {self._divisor}")
         streams = [chain(x) for chain in self.stream_down]
         for col in self.col:
             streams = col(streams)

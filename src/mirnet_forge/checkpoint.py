@@ -3,7 +3,8 @@
 Layout: magic "MIRT", version u32, then per entry: name length u16, UTF-8
 name, rank u8, extents as u32s, raw little-endian IEEE-754 single-precision
 values.  Rank 0 carries exactly one scalar.  Entry order is preserved, so a
-round trip is byte-identical for the same inputs.
+round trip is byte-identical for the same inputs.  Loaded entries are
+read-only views of the file's bytes: the file is held in memory once.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         count = math.prod(shape)
         start = take(4 * count, f"values of {name!r}")
         try:
-            values = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape)
+            out[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape)
         except ValueError as exc:  # a zero extent beside extents too large for numpy
             raise CheckpointError(f"extents of {name!r} at byte {extents}: {exc}") from exc
-        out[name] = values.copy()
     return out

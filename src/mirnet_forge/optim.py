@@ -80,10 +80,10 @@ def cosine_lr(step: int, sched: CosineSchedule) -> float:
 
 
 class Adam:
-    """Adam with bias correction; state is keyed by parameter name so it can
-    persist alongside checkpoints.  `step` updates m, v (in the parameter's
-    dtype) and each p.data in place, BLOCK elements at a time so the working
-    set stays in cache, with the textbook update's float operations in order.
+    """Adam with bias correction; state is keyed by parameter name and is not
+    checkpointed.  `step` updates m, v (in the parameter's dtype) and each
+    p.data in place, BLOCK elements at a time so the working set stays in
+    cache, with the textbook update's float operations in order.
     """
 
     BLOCK = 1 << 16

@@ -100,39 +100,37 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
         adam.step(params, lr)
         rows.append(f"{step},{lr:.10e},{value:.10e}")
         if cfg.train.checkpoint_every and (step + 1) % cfg.train.checkpoint_every == 0:
-            save_state(out / f"checkpoint_{step + 1:06d}.ckpt", params, adam)
+            save_checkpoint(out / f"checkpoint_{step + 1:06d}.ckpt",
+                            {name: p.data for name, p in params.items()})
 
     final = out / "final.ckpt"
-    save_state(final, params, adam)
+    save_checkpoint(final, {name: p.data for name, p in params.items()})
     (out / "loss_log.csv").write_text("\n".join(rows) + "\n")
     return net, final
 
 
-def save_state(path, params, adam: O.Adam):
-    """Checkpoint the parameters with Adam's m, v and step count."""
-    adam.init_state(params)
-    arrays = {name: p.data for name, p in params.items()}
-    for name in params:
-        arrays[name + ".adam_m"] = adam.m[name]
-        arrays[name + ".adam_v"] = adam.v[name]
-    arrays["optim.step"] = np.float32(adam.t)
-    save_checkpoint(path, arrays)
-
-
 def load_network(cfg: RunConfig, checkpoint_path: str) -> B.MIRNet:
-    """Build the network from config and load matching parameters.
+    """Build the network from config and load its parameters; the checkpoint
+    must hold exactly those parameters.
 
-    Raises CheckpointError naming the first mismatched parameter.
+    Raises CheckpointError naming the first entry the network lacks (in file
+    order), else the first missing or mismatched parameter.
     """
     net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
+    params = net.named_parameters()
     stored = load_checkpoint(checkpoint_path)
-    for name, p in net.named_parameters().items():
+    for name in stored:
+        if name not in params:
+            raise CheckpointError(f"checkpoint has unexpected entry {name!r}")
+    for name, p in params.items():
         arr = stored.get(name)
         if arr is None:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}")
+        # the only copy: stored entries are read-only views of the file's
+        # bytes, and this copy is what makes the parameters writable
         p.data = arr.astype(np.float32)
     return net
 

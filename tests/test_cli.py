@@ -14,7 +14,7 @@ from mirnet_forge import cli
 from mirnet_forge import data as D
 from mirnet_forge import optim as O
 from mirnet_forge import pipeline
-from mirnet_forge.checkpoint import load_checkpoint
+from mirnet_forge.checkpoint import load_checkpoint, save_checkpoint
 from mirnet_forge.config import parse_config, render_config
 
 RNG = np.random.default_rng
@@ -70,16 +70,13 @@ class TestTrainCommand:
         echoed = parse_config((out / "config.txt").read_text())
         assert render_config(echoed) == (out / "config.txt").read_text()
 
-    def test_checkpoint_carries_optimizer_state(self, tmp_path):
+    def test_checkpoint_holds_exactly_the_parameters(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "run"
         cli.cmd_train(str(config), str(out))
-        stored = load_checkpoint(out / "final.ckpt")
-        assert float(stored["optim.step"]) == 4.0
-        assert "head.weight" in stored
-        assert "head.weight.adam_m" in stored
-        assert "head.weight.adam_v" in stored
-        assert stored["head.weight.adam_m"].shape == stored["head.weight"].shape
+        net = pipeline.load_network(pipeline.load_config(str(config)),
+                                    str(out / "final.ckpt"))
+        assert list(load_checkpoint(out / "final.ckpt")) == list(net.named_parameters())
 
     def test_bitwise_reproducible(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
@@ -125,7 +122,7 @@ def _identity_checkpoint(tmp_path, config):
     net.tail.weight.data[:] = 0
     net.tail.bias.data[:] = 0
     path = tmp_path / "identity.ckpt"
-    pipeline.save_state(path, net.named_parameters(), O.Adam())
+    save_checkpoint(path, {name: p.data for name, p in net.named_parameters().items()})
     return path
 
 
@@ -179,6 +176,25 @@ class TestEvalCommand:
         ckpt = _identity_checkpoint(tmp_path, config)
         cli.cmd_eval(str(config), str(ckpt))
         assert capsys.readouterr().out.startswith("# channel_mode=y_channel")
+
+    def test_loaded_parameters_update_in_place(self, tmp_path):
+        # checkpoint entries are read-only views; load_network's copy must
+        # leave parameters that Adam can update without reallocating
+        config, _ = _make_dataset(tmp_path / "data")
+        ckpt = _identity_checkpoint(tmp_path, config)
+        params = pipeline.load_network(
+            pipeline.load_config(str(config)), str(ckpt)).named_parameters()
+        before = {name: (p.data, p.data.copy()) for name, p in params.items()}
+        for p in params.values():
+            assert p.data.dtype == np.float32
+            assert p.data.flags.writeable
+            assert p.data.flags.c_contiguous and p.data.flags.aligned
+            p.grad = np.ones_like(p.data)
+        O.Adam().step(params, lr=1e-3)
+        for name, p in params.items():
+            array, old = before[name]
+            assert p.data is array
+            assert not np.array_equal(array, old), name
 
 
 class TestInferCommand:
@@ -304,6 +320,10 @@ BAD_INPUTS = {
     "eval_shape_mismatch": (b"network.base_channels = 16\n",
                             ["eval", "--checkpoint", "{ckpt}"],
                             cli.EXIT_CONFIG, "checkpoint error"),
+    # a 1-stream network's parameters are a subset of the 2-stream checkpoint's
+    "eval_extra_entries": (b"network.n_streams = 1\n",
+                           ["eval", "--checkpoint", "{ckpt}"],
+                           cli.EXIT_CONFIG, "checkpoint error"),
     "noise_sigma_nan": (b"data.noise_sigma = nan\n", ["train", "--out", "{root}/run"],
                         cli.EXIT_CONFIG, "config error"),
     "gamma_nan": (b"data.task = enhance\ndata.gamma = nan\n",

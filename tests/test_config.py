@@ -1,6 +1,7 @@
 """Key=value configuration and checkpoint container tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestCheckpoint:
         back = load_checkpoint(p)
         assert back["optim.step"].shape == ()
         assert float(back["optim.step"]) == 3.0
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        # entries are views of the bytes read from disk, not copies of them
+        p = tmp_path / "big.ckpt"
+        save_checkpoint(p, {f"w{i}": RNG(i).normal(size=(64, 64, 3, 3)).astype(np.float32)
+                            for i in range(16)})
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            arrays = load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(arrays) == 16
+        assert peak <= 1.25 * size, (peak, size)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
