@@ -19,13 +19,13 @@ from .tensor import ShapeError, Tensor
 IMAGE_CHANNELS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
     """Architecture hyperparameters.
 
     Stream s runs at spatial scale 2^-s with channel width base_channels*2^s.
     Reference-scale values: 3 RRGs of 2 MRBs, 3 streams, 2 columns, 64 base
-    channels; desk-scale defaults live in the CLI.
+    channels; desk-scale defaults live in `config.RunConfig`.
     """
     n_rrg: int = 3
     mrb_per_rrg: int = 2
@@ -33,7 +33,7 @@ class NetworkConfig:
     n_columns: int = 2
     base_channels: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_streams < 1 or self.n_columns < 1:
             raise T.ContractError("n_streams and n_columns must be >= 1")
         if min(self.n_rrg, self.mrb_per_rrg, self.base_channels) < 1:
@@ -209,7 +209,7 @@ class DAU(Module):
 
     def __call__(self, x):
         m = self.conv2(self.act(self.conv1(x)))
-        fused = self.merge(T.concat([self.ca(m), self.sa(m)], axis=1))
+        fused = self.merge(T.concat([self.ca(m), self.sa(m)]))
         return T.add(x, fused)
 
 
@@ -354,7 +354,6 @@ class MIRNet(Module):
     image_hat = image + residual."""
 
     def __init__(self, config: NetworkConfig, dtype=np.float32, seed: int = 0):
-        config.validate()
         rng = np.random.default_rng(seed)
         c = config.base_channels
         self.head = Conv2d(IMAGE_CHANNELS, c, 3, dtype=dtype, rng=rng)
@@ -401,4 +400,4 @@ class ConcatFusion(Module):
                            dtype=dtype, rng=rng)
 
     def __call__(self, branches):
-        return self.proj(T.concat(branches, axis=1))
+        return self.proj(T.concat(branches))

@@ -78,6 +78,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = raw[start:pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"name at byte {start} is not UTF-8") from exc
+        if name in out:
+            raise CheckpointError(f"repeated entry {name!r} at byte {start}")
         (rank,) = struct.unpack_from("<B", raw, take(1, f"rank of {name!r}"))
         extents = take(4 * rank, f"extents of {name!r}")
         shape = struct.unpack_from(f"<{rank}I", raw, extents)

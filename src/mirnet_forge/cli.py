@@ -20,7 +20,7 @@ from . import data as D
 from . import pipeline as P
 from . import tensor as T
 from .checkpoint import CheckpointError
-from .config import ConfigError, validate_config
+from .config import ConfigError
 from .verify import run_gradcheck_suite
 
 EXIT_OK = 0
@@ -119,25 +119,25 @@ def cmd_ablate(which: str, config_path: str, out_dir: str,
         (out / "aggregation.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
 
-    cells = {}
-    for rows_n in (1, 2, 3):
-        for cols_n in (1, 2, 3):
-            cells[rows_n, cols_n] = dataclasses.replace(
-                cfg, network=dataclasses.replace(
-                    cfg.network, n_streams=rows_n, n_columns=cols_n),
-                train=dataclasses.replace(cfg.train, total_steps=train_steps))
+    networks = {
+        (rows_n, cols_n): dataclasses.replace(
+            cfg.network, n_streams=rows_n, n_columns=cols_n)
+        for rows_n in (1, 2, 3) for cols_n in (1, 2, 3)}
+    runs = {}
     if train_steps > 0:
-        # every cell must be trainable before the first one trains
-        for cell in cells.values():
-            validate_config(cell)
+        # building the run configs checks every cell before the first trains
+        train = dataclasses.replace(cfg.train, total_steps=train_steps)
+        runs = {cell: dataclasses.replace(cfg, network=network, train=train)
+                for cell, network in networks.items()}
     lines = ["rows\tcols\tparameters\tpsnr_db"]
-    for (rows_n, cols_n), cell in cells.items():
-        net = B.MIRNet(cell.network, dtype=np.float32, seed=cfg.train.seed)
+    for (rows_n, cols_n), network in networks.items():
+        net = B.MIRNet(network, dtype=np.float32, seed=cfg.train.seed)
         _, total = B.count_parameters(net)
         psnr_cell = "-"
-        if train_steps > 0:
-            _, ckpt = P.run_training(cell, out / f"r{rows_n}c{cols_n}")
-            psnr_cell = _fmt(P.run_eval(cell, ckpt).aggregate[0])
+        if runs:
+            run = runs[rows_n, cols_n]
+            _, ckpt = P.run_training(run, out / f"r{rows_n}c{cols_n}")
+            psnr_cell = _fmt(P.run_eval(run, ckpt).aggregate[0])
         lines.append(f"{rows_n}\t{cols_n}\t{total}\t{psnr_cell}")
     print("\n".join(lines))
     (out / "layout.txt").write_text("\n".join(lines) + "\n")

@@ -137,7 +137,7 @@ def to_image(array: np.ndarray) -> ImageBuffer:
 # degradations
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradationSpec:
     """Synthetic input/target pair generator settings.
 
@@ -151,7 +151,7 @@ class DegradationSpec:
     gamma: float = 2.2
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.task not in ("denoise", "super_resolve", "enhance"):
             raise ContractError(f"unknown task {self.task!r}")
         for name in ("noise_sigma", "exposure_gain", "gamma"):
@@ -216,7 +216,6 @@ def bicubic_resize(image: ImageBuffer, out_width: int, out_height: int) -> Image
 
 def degrade(image: ImageBuffer, spec: DegradationSpec) -> tuple[ImageBuffer, ImageBuffer]:
     """Produce an (input, target) pair; extents are always preserved."""
-    spec.validate()
     target = ImageBuffer(image.pixels.copy())
     if spec.task == "denoise":
         return add_gaussian_noise(image, spec.noise_sigma, spec.seed), target
@@ -237,13 +236,13 @@ def degrade(image: ImageBuffer, spec: DegradationSpec) -> tuple[ImageBuffer, Ima
 # patch sampling
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchSampler:
     patch_size: int = 32
     batch: int = 4
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.patch_size < 1 or self.batch < 1:
             raise ContractError("patch_size and batch must be >= 1")
 
@@ -257,7 +256,6 @@ def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
     (sampler.seed, batch_index); the same crop and flips are applied to input
     and target.
     """
-    sampler.validate()
     ps = sampler.patch_size
     for i, (inp, tgt) in enumerate(pairs):
         if inp.width < ps or inp.height < ps:

@@ -50,13 +50,13 @@ def charbonnier_loss(pred: Tensor, target: Tensor,
     return T._record([pred, target], out, back)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosineSchedule:
     lr_init: float = 2e-4
     lr_min: float = 1e-6
     total_steps: int = 700_000
 
-    def validate(self):
+    def __post_init__(self):
         if not (math.isfinite(self.lr_init) and math.isfinite(self.lr_min)):
             raise ContractError("lr_init and lr_min must be finite")
         if not (self.lr_init > self.lr_min > 0):
@@ -70,7 +70,6 @@ def cosine_lr(step: int, sched: CosineSchedule) -> float:
 
     Steps past the end clamp to lr_min.
     """
-    sched.validate()
     if step < 0:
         raise ContractError("step must be non-negative")
     if step >= sched.total_steps:

@@ -26,7 +26,7 @@ class NumericalError(RuntimeError):
 
 
 def load_config(path: str, seed: int | None = None) -> RunConfig:
-    """Parse a config file; `seed` replaces train.seed before validation."""
+    """Parse a config file; `seed`, when given, replaces train.seed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -34,7 +34,8 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
     cfg = parse_config(text, seed=seed)
     # a relative manifest is taken relative to the config file itself
     if cfg.data.manifest and not Path(cfg.data.manifest).is_absolute():
-        cfg.data.manifest = str(Path(path).parent / cfg.data.manifest)
+        cfg = dataclasses.replace(cfg, data=dataclasses.replace(
+            cfg.data, manifest=str(Path(path).parent / cfg.data.manifest)))
     return cfg
 
 
@@ -76,10 +77,8 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
     params = net.named_parameters()
     adam = O.Adam()
-    sched = O.CosineSchedule(cfg.train.lr_init, cfg.train.lr_min,
-                             cfg.train.total_steps)
-    sampler = D.PatchSampler(cfg.train.patch_size, cfg.train.batch,
-                             seed=cfg.train.seed)
+    sched = cfg.train.schedule()
+    sampler = cfg.train.sampler()
 
     rows = ["step,lr,loss"]
     for step in range(cfg.train.total_steps):
@@ -175,8 +174,9 @@ def run_eval(cfg: RunConfig, checkpoint_path: str,
                       input_baseline=mean(baseline))
 
 
-def aggregation_report(channels: int = 64, branches: int = 3) -> list[str]:
+def aggregation_report() -> list[str]:
     """Parameter counts of the three fusion strategies at reference width."""
+    channels, branches = 64, 3
     totals = {name: B.count_parameters(module)[1] for name, module in (
         ("sum", B.SumFusion()),
         ("concat", B.ConcatFusion(channels, branches, dtype=np.float64)),

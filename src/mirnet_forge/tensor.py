@@ -148,13 +148,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record([a, b], out, back)
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Join NCHW tensors along the channel axis."""
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
 
     def back(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=1))
 
     return _record(list(tensors), out, back)
 
@@ -482,6 +482,9 @@ def grad_check(f, wrt: Tensor | list[Tensor], step: float = 1e-5,
     backward rule disagrees with every stencil, so this does not mask real
     gradient bugs.
     """
+    for _, o in fallbacks or []:
+        if o not in (2, 4):
+            raise ContractError("order must be 2 or 4")
     tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
     for t in tensors:
         t.requires_grad = True
@@ -505,9 +508,6 @@ def grad_check(f, wrt: Tensor | list[Tensor], step: float = 1e-5,
             idx = range(size)
         flat = t.data.reshape(-1)
         aflat = analytic.reshape(-1)
-        for _, o in fallbacks or []:
-            if o not in (2, 4):
-                raise ContractError("order must be 2 or 4")
         for i in idx:
             orig = flat[i]
 

@@ -418,9 +418,9 @@ class TestRRGAndNetwork:
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
-            NetworkConfig(n_streams=0).validate()
+            NetworkConfig(n_streams=0)
         with pytest.raises(ContractError):
-            NetworkConfig(n_rrg=0).validate()
+            NetworkConfig(n_rrg=0)
 
 
 # ---------------------------------------------------------------------------

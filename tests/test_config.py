@@ -1,17 +1,46 @@
 """Key=value configuration and checkpoint container tests."""
 
+import dataclasses
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mirnet_forge.blocks import NetworkConfig
 from mirnet_forge.checkpoint import (
     CheckpointError, load_checkpoint, save_checkpoint)
 from mirnet_forge.config import (
-    ConfigError, RunConfig, parse_config, render_config)
+    ConfigError, DataConfig, EvalConfig, RunConfig, TrainConfig, parse_config,
+    render_config)
+from mirnet_forge.data import DegradationSpec, PatchSampler
+from mirnet_forge.optim import CosineSchedule
 
 RNG = np.random.default_rng
+
+DEFAULT_TEXT = """\
+network.n_rrg = 1
+network.mrb_per_rrg = 1
+network.n_streams = 2
+network.n_columns = 1
+network.base_channels = 8
+train.total_steps = 2000
+train.batch = 4
+train.patch_size = 32
+train.lr_init = 0.0002
+train.lr_min = 1e-06
+train.seed = 0
+train.loss_mode = per_pixel_mean
+train.checkpoint_every = 500
+data.manifest = \n\
+data.task = denoise
+data.noise_sigma = 25.0
+data.scale_factor = 2
+data.exposure_gain = 0.5
+data.gamma = 2.2
+data.seed = 0
+eval.channel_mode = rgb
+"""
 
 
 class TestConfigParsing:
@@ -44,6 +73,11 @@ class TestConfigParsing:
         assert again == cfg
         assert render_config(again) == render_config(cfg)
 
+    def test_default_text_is_pinned(self):
+        # key names and order, repr floats and the empty manifest's trailing space
+        assert render_config(RunConfig()) == DEFAULT_TEXT
+        assert len(DEFAULT_TEXT.splitlines()) == 21
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2.*network.depth"):
             parse_config("train.seed = 1\nnetwork.depth = 9\n")
@@ -72,6 +106,16 @@ class TestConfigParsing:
                      "train.lr_min = 1e309\n"):
             with pytest.raises(ConfigError):
                 parse_config(text)
+
+
+@pytest.mark.parametrize("settings", [
+    NetworkConfig(), DegradationSpec(), PatchSampler(), CosineSchedule(),
+    TrainConfig(), DataConfig(), EvalConfig(), RunConfig()],
+    ids=lambda settings: type(settings).__name__)
+def test_settings_are_frozen(settings):
+    name = dataclasses.fields(settings)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(settings, name, getattr(settings, name))
 
 
 class TestCheckpoint:
@@ -192,6 +236,15 @@ class TestCheckpoint:
         p.write_bytes(b"MIRT" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
                       + struct.pack("<B", 3) + struct.pack("<3I", *[2 ** 32 - 1] * 3))
         with pytest.raises(CheckpointError, match="values of 'w'"):
+            load_checkpoint(p)
+
+    def test_repeated_entry_rejected(self, tmp_path):
+        entry = (struct.pack("<H", 1) + b"w" + struct.pack("<B", 1)
+                 + struct.pack("<I", 1) + np.float32(1.0).tobytes())
+        p = tmp_path / "twice.ckpt"
+        p.write_bytes(b"MIRT" + struct.pack("<I", 1) + entry + entry)
+        # the second name starts after the header (8) and the first entry (12)
+        with pytest.raises(CheckpointError, match="repeated entry 'w' at byte 22"):
             load_checkpoint(p)
 
     def test_non_utf8_name_rejected(self, tmp_path):

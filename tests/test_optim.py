@@ -105,7 +105,7 @@ class TestCosineSchedule:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_rate_rejected(self, field, value):
         with pytest.raises(ContractError, match="must be finite"):
-            CosineSchedule(**{field: value}).validate()
+            CosineSchedule(**{field: value})
 
 
 def _adam_loops(data, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -402,6 +402,18 @@ class TestGradCheck:
         with pytest.raises(ContractError):
             T.grad_check(lambda: T.sigmoid(x), x)
 
+    def test_bad_stencil_order_rejected_before_f_runs(self):
+        calls = []
+
+        def f():
+            calls.append(1)
+            return T.tsum(x)
+
+        x = randt((1, 1, 2, 2))
+        with pytest.raises(ContractError, match="order must be 2 or 4"):
+            T.grad_check(f, x, fallbacks=[(1e-4, 4), (1e-4, 3)])
+        assert calls == []
+
 
 class TestBilinearUpsample:
     def test_shape(self):
