@@ -17,6 +17,8 @@ from .tensor import ShapeError, Tensor
 
 #: The network restores 8-bit RGB images.
 IMAGE_CHANNELS = 3
+#: The `rng` of a network built with `seed=None`: weights are allocated, not drawn.
+_NO_DRAW = object()
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,14 @@ class Conv2d(Module):
 
     def __init__(self, in_c, out_c, kernel, bias=True, dtype=np.float32, rng=None):
         rng = rng or np.random.default_rng(0)
+        shape = (out_c, in_c, kernel, kernel)
         # Kaiming-uniform fan-in with the standard leaky-slope correction
         # (gain^2 = 2/(1+5) = 1/3); keeps the deep unnormalized residual
         # stack bounded at initialization.
-        fan_in = in_c * kernel * kernel
-        bound = np.sqrt(1.0 / fan_in)
-        self.weight = Tensor(
-            rng.uniform(-bound, bound, (out_c, in_c, kernel, kernel)).astype(dtype),
-            requires_grad=True)
+        bound = np.sqrt(1.0 / (in_c * kernel * kernel))
+        weight = (np.empty(shape, dtype) if rng is _NO_DRAW
+                  else rng.uniform(-bound, bound, shape).astype(dtype))
+        self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x):
@@ -351,10 +353,14 @@ class RRG(Module):
 
 class MIRNet(Module):
     """Full restoration network: shallow features, RRG stack, residual output
-    image_hat = image + residual."""
+    image_hat = image + residual.
 
-    def __init__(self, config: NetworkConfig, dtype=np.float32, seed: int = 0):
-        rng = np.random.default_rng(seed)
+    `seed=None` draws nothing (weights uninitialised), for callers that assign
+    every weight before use (`load_network`) or only count them (`ablate`).
+    """
+
+    def __init__(self, config: NetworkConfig, dtype=np.float32, seed: int | None = 0):
+        rng = _NO_DRAW if seed is None else np.random.default_rng(seed)
         c = config.base_channels
         self.head = Conv2d(IMAGE_CHANNELS, c, 3, dtype=dtype, rng=rng)
         self.rrg = [

@@ -3,8 +3,9 @@
 Layout: magic "MIRT", version u32, then per entry: name length u16, UTF-8
 name, rank u8, extents as u32s, raw little-endian IEEE-754 single-precision
 values.  Rank 0 carries exactly one scalar.  Entry order is preserved, so a
-round trip is byte-identical for the same inputs.  Loaded entries are
-read-only views of the file's bytes: the file is held in memory once.
+round trip is byte-identical for the same inputs.  Loading reads each
+entry's values straight into its own writable, aligned, C-contiguous float32
+array, so the file's bytes are held in memory once and never copied.
 """
 
 from __future__ import annotations
@@ -47,46 +48,56 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; an unreadable file, or any malformed or truncated
-    field, raises CheckpointError (naming the field's byte offset)."""
+    """Read a checkpoint; an unreadable file, a malformed or truncated field,
+    or a short read raises CheckpointError naming the field's byte offset."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_entries(fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"bad magic {raw[:4]!r}")
+
+
+def _read_entries(fh, end: int) -> dict[str, np.ndarray]:
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
     pos = 4
 
-    def take(size, what):
+    def read(size, what, alloc=bytearray):
+        # bounds-check against the file's size first, then allocate and fill
         nonlocal pos
-        if size > len(raw) - pos:
+        if size > end - pos:
             raise CheckpointError(
                 f"truncated {what} at byte {pos}: needs {size} bytes, "
-                f"{len(raw) - pos} left")
+                f"{end - pos} left")
         start, pos = pos, pos + size
-        return start
+        buf = alloc(size)
+        # the file can shrink after fstat, e.g. when it is overwritten in place
+        if (got := fh.readinto(buf)) != size:
+            raise CheckpointError(
+                f"short read of {what} at byte {start}: got {got} of {size} bytes")
+        return start, buf
 
-    (version,) = struct.unpack_from("<I", raw, take(4, "version"))
+    (version,) = struct.unpack("<I", read(4, "version")[1])
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}")
     out: dict[str, np.ndarray] = {}
-    while pos < len(raw):
-        (nlen,) = struct.unpack_from("<H", raw, take(2, "name length"))
-        start = take(nlen, "name")
+    while pos < end:
+        (nlen,) = struct.unpack("<H", read(2, "name length")[1])
+        start, raw = read(nlen, "name")
         try:
-            name = raw[start:pos].decode("utf-8")
+            name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"name at byte {start} is not UTF-8") from exc
         if name in out:
             raise CheckpointError(f"repeated entry {name!r} at byte {start}")
-        (rank,) = struct.unpack_from("<B", raw, take(1, f"rank of {name!r}"))
-        extents = take(4 * rank, f"extents of {name!r}")
-        shape = struct.unpack_from(f"<{rank}I", raw, extents)
-        count = math.prod(shape)
-        start = take(4 * count, f"values of {name!r}")
+        (rank,) = read(1, f"rank of {name!r}")[1]
+        extents, raw = read(4 * rank, f"extents of {name!r}")
+        shape = struct.unpack(f"<{rank}I", raw)
+        _, values = read(4 * math.prod(shape), f"values of {name!r}",
+                         lambda size: np.empty(size // 4, dtype="<f4"))
         try:
-            out[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape)
+            out[name] = values.reshape(shape)
         except ValueError as exc:  # a zero extent beside extents too large for numpy
             raise CheckpointError(f"extents of {name!r} at byte {extents}: {exc}") from exc
     return out

@@ -115,7 +115,7 @@ def load_network(cfg: RunConfig, checkpoint_path: str) -> B.MIRNet:
     Raises CheckpointError naming the first entry the network lacks (in file
     order), else the first missing or mismatched parameter.
     """
-    net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
+    net = B.MIRNet(cfg.network, dtype=np.float32, seed=None)
     params = net.named_parameters()
     stored = load_checkpoint(checkpoint_path)
     for name in stored:
@@ -128,9 +128,7 @@ def load_network(cfg: RunConfig, checkpoint_path: str) -> B.MIRNet:
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}")
-        # the only copy: stored entries are read-only views of the file's
-        # bytes, and this copy is what makes the parameters writable
-        p.data = arr.astype(np.float32)
+        p.data = arr
     return net
 
 

@@ -401,8 +401,13 @@ class TestRRGAndNetwork:
         NetworkConfig(),
     ])
     def test_param_count_formula(self, cfg):
-        total = count_parameters(MIRNet(cfg, seed=0))[1]
+        net, bare = MIRNet(cfg, seed=0), MIRNet(cfg, seed=None)
+        total = count_parameters(net)[1]
         assert total == _network_n(cfg)
+        # a build that draws nothing has the same names, shapes and count
+        shapes = lambda m: {n: p.data.shape for n, p in m.named_parameters().items()}
+        assert list(shapes(bare).items()) == list(shapes(net).items())
+        assert count_parameters(bare)[1] == total
         if cfg == NetworkConfig():
             # the reference network: resize chains hold 37,152,768 (62.9%)
             # of its parameters, the DAUs 20,931,948 (35.4%)

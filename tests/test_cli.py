@@ -178,8 +178,8 @@ class TestEvalCommand:
         assert capsys.readouterr().out.startswith("# channel_mode=y_channel")
 
     def test_loaded_parameters_update_in_place(self, tmp_path):
-        # checkpoint entries are read-only views; load_network's copy must
-        # leave parameters that Adam can update without reallocating
+        # load_network hands the loaded arrays to the parameters: Adam must be
+        # able to update them without reallocating
         config, _ = _make_dataset(tmp_path / "data")
         ckpt = _identity_checkpoint(tmp_path, config)
         params = pipeline.load_network(
@@ -195,6 +195,19 @@ class TestEvalCommand:
             array, old = before[name]
             assert p.data is array
             assert not np.array_equal(array, old), name
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        config, _ = _make_dataset(tmp_path / "data")
+        ckpt = _identity_checkpoint(tmp_path, config)
+        cfg = pipeline.load_config(str(config))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_network drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        params = pipeline.load_network(cfg, str(ckpt)).named_parameters()
+        stored = load_checkpoint(ckpt)
+        assert all(np.array_equal(p.data, stored[name]) for name, p in params.items())
 
 
 class TestInferCommand:

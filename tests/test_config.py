@@ -1,12 +1,15 @@
 """Key=value configuration and checkpoint container tests."""
 
 import dataclasses
+import os
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from mirnet_forge import checkpoint
 from mirnet_forge.blocks import NetworkConfig
 from mirnet_forge.checkpoint import (
     CheckpointError, load_checkpoint, save_checkpoint)
@@ -137,6 +140,9 @@ class TestCheckpoint:
             stored = np.asarray(arrays[name], dtype=np.float32)
             assert back[name].shape == stored.shape
             assert np.array_equal(back[name], stored)
+            assert back[name].dtype == np.float32
+            flags = back[name].flags
+            assert flags.writeable and flags.aligned and flags.c_contiguous, name
 
     def test_save_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -178,7 +184,8 @@ class TestCheckpoint:
         assert float(back["optim.step"]) == 3.0
 
     def test_load_holds_the_file_once(self, tmp_path):
-        # entries are views of the bytes read from disk, not copies of them
+        # each entry's values are read into its own array, and nothing else
+        # holds the file's bytes
         p = tmp_path / "big.ckpt"
         save_checkpoint(p, {f"w{i}": RNG(i).normal(size=(64, 64, 3, 3)).astype(np.float32)
                             for i in range(16)})
@@ -230,6 +237,27 @@ class TestCheckpoint:
         p.write_bytes(full.read_bytes()[:cut])
         with pytest.raises(CheckpointError, match=f"truncated .* at byte {offset}:"):
             load_checkpoint(p)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # the file shrinks after its size was taken, as when it is overwritten
+        # in place: the loader must not return a partly filled array
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(full, self._arrays())
+        raw = full.read_bytes()
+        fstat = os.fstat
+        monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=max(fstat(fd).st_size, len(raw))))
+        p = tmp_path / "cut.ckpt"
+        # header 8, name length 2, "head.weight" 11, rank 1, extents 16
+        p.write_bytes(raw[:38 + 4 * 50])
+        with pytest.raises(CheckpointError,
+                           match="short read of values of 'head.weight' at byte 38: "
+                                 "got 200 of 432 bytes"):
+            load_checkpoint(p)
+        for cut in range(4, len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="short read"):
+                load_checkpoint(p)
 
     def test_huge_extents_rejected_before_reading(self, tmp_path):
         p = tmp_path / "huge.ckpt"
