@@ -9,6 +9,7 @@ in `tensor`.  Parameter names follow the block path, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -73,10 +74,6 @@ class Module:
             for i, item in enumerate(attr):
                 Module._collect(out, f"{name}{i}", item)
 
-    def zero_grad(self):
-        for p in self.named_parameters().values():
-            p.grad = None
-
 
 def count_parameters(module: Module) -> tuple[dict[str, int], int]:
     """Learnable scalar count per parameter path, plus the total."""
@@ -112,6 +109,12 @@ class PReLU(Module):
 
     def __call__(self, x):
         return T.prelu(x, self.slope)
+
+
+def _branch_sum(branches) -> Tensor:
+    """Left-to-right sum of tensors; a generator's terms are made one at a
+    time, each just before the add that takes it."""
+    return reduce(T.add, branches)
 
 
 def blur_pool(x: Tensor) -> Tensor:
@@ -156,16 +159,9 @@ class SKFF(Module):
                     f"branch shape mismatch: {b.data.shape} != {shape}")
         if len(branches) == 1:
             return branches[0]
-        total = branches[0]
-        for b in branches[1:]:
-            total = T.add(total, b)
-        z = self.act(self.downscale(T.global_avg_pool(total)))
-        logits = [up(z) for up in self.upscale]
-        weights = T.branch_softmax(logits)
-        out = T.mul(branches[0], weights[0])
-        for b, w in zip(branches[1:], weights[1:]):
-            out = T.add(out, T.mul(b, w))
-        return out
+        z = self.act(self.downscale(T.global_avg_pool(_branch_sum(branches))))
+        weights = T.branch_softmax([up(z) for up in self.upscale])
+        return _branch_sum(T.mul(b, w) for b, w in zip(branches, weights))
 
 
 class ChannelAttention(Module):
@@ -391,10 +387,7 @@ class SumFusion(Module):
     """Parameter-free aggregation: plain element-wise sum of the branches."""
 
     def __call__(self, branches):
-        out = branches[0]
-        for b in branches[1:]:
-            out = T.add(out, b)
-        return out
+        return _branch_sum(branches)
 
 
 class ConcatFusion(Module):

@@ -68,7 +68,9 @@ def format_report(report: P.EvalReport) -> str:
 
 @_exit_codes
 def cmd_train(config_path: str, out_dir: str, seed: int | None = None) -> int:
-    cfg = P.load_config(config_path, seed=seed)
+    cfg = P.load_config(config_path)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=seed))
     if not cfg.data.manifest:
         raise ConfigError("data.manifest is required for training")
     P.run_training(cfg, out_dir)

@@ -109,9 +109,8 @@ def _replace(obj, values: dict, path=()):
     return dataclasses.replace(obj, **changes)
 
 
-def parse_config(text: str, seed: int | None = None) -> RunConfig:
-    """Parse config text and build the checked config; `seed`, when given,
-    replaces train.seed."""
+def parse_config(text: str) -> RunConfig:
+    """Parse config text and build the checked config."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,8 +127,6 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
             values[path] = typ(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if seed is not None:
-        values["train", "seed"] = seed
     try:
         return _replace(RunConfig(), values)
     except ValueError as exc:

@@ -8,6 +8,7 @@ the Philox counter-based generator keyed as Philox(key=[seed, stream]) so a
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,11 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 # PPM I/O
 
 
+# A header field: whitespace and "#" comments (up to a newline), then a run
+# of non-whitespace bytes.  In a bytes pattern \s is exactly bytes.isspace().
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def load_ppm(path) -> ImageBuffer:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -67,20 +73,11 @@ def load_ppm(path) -> ImageBuffer:
 
     def token():
         nonlocal pos
-        while pos < len(raw):
-            if raw[pos:pos + 1].isspace():
-                pos += 1
-            elif raw[pos:pos + 1] == b"#":
-                while pos < len(raw) and raw[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
+        field = _HEADER_FIELD.match(raw, pos)
+        start, pos = field.span(1)
         if start == pos:
             raise ParseError(f"unexpected end of header at byte {start}")
-        return raw[start:pos], start
+        return field[1], start
 
     magic, off = token()
     if magic != b"P6":
@@ -172,8 +169,6 @@ def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int) -> ImageBuff
     """Additive Gaussian noise in 8-bit units, rounded and clamped."""
     if sigma < 0:
         raise ContractError("sigma must be >= 0")
-    if sigma == 0:
-        return ImageBuffer(image.pixels.copy())
     noise = _rng(seed).normal(0.0, sigma, image.pixels.shape)
     return ImageBuffer(_quantize(image.pixels.astype(np.float64) + noise))
 
@@ -272,14 +267,10 @@ def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
         ox = int(rng.integers(0, inp.width - ps + 1))
         fh = bool(rng.integers(0, 2))
         fv = bool(rng.integers(0, 2))
-        a = inp.pixels[oy:oy + ps, ox:ox + ps]
-        b = tgt.pixels[oy:oy + ps, ox:ox + ps]
-        a, b = apply_flips(a, fh, fv), apply_flips(b, fh, fv)
-        xs.append(a)
-        ys.append(b)
-    to = lambda lst: np.stack(
-        [(p.astype(np.float32) / 255.0).transpose(2, 0, 1) for p in lst])
-    return to(xs), to(ys)
+        for patches, image in ((xs, inp), (ys, tgt)):
+            crop = apply_flips(image.pixels[oy:oy + ps, ox:ox + ps], fh, fv)
+            patches.append(to_array(ImageBuffer(crop)))
+    return np.stack(xs), np.stack(ys)
 
 
 def apply_flips(patch: np.ndarray, horizontal: bool, vertical: bool) -> np.ndarray:

@@ -40,19 +40,20 @@ def bt601_luma(pixels: np.ndarray) -> np.ndarray:
     return 0.299 * p[..., 0] + 0.587 * p[..., 1] + 0.114 * p[..., 2]
 
 
-def _planes(image: ImageBuffer, mode: str) -> np.ndarray:
-    if mode == "y_channel":
-        return bt601_luma(image.pixels)[..., None]
-    return image.pixels.astype(np.float64)
-
-
-def psnr(a: ImageBuffer, b: ImageBuffer, channel_mode: str = "rgb") -> float:
-    check_channel_mode(channel_mode)
+def _planes(a: ImageBuffer, b: ImageBuffer, mode: str) -> list[np.ndarray]:
+    """Both images as float64 (H, W, planes) arrays, after checking the mode
+    and that their extents match."""
+    check_channel_mode(mode)
     if (a.width, a.height) != (b.width, b.height):
         raise ContractError(
             f"extent mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
-    pa = _planes(a, channel_mode)
-    pb = _planes(b, channel_mode)
+    if mode == "y_channel":
+        return [bt601_luma(image.pixels)[..., None] for image in (a, b)]
+    return [image.pixels.astype(np.float64) for image in (a, b)]
+
+
+def psnr(a: ImageBuffer, b: ImageBuffer, channel_mode: str = "rgb") -> float:
+    pa, pb = _planes(a, b, channel_mode)
     mse = float(np.mean((pa - pb) ** 2))
     if mse == 0.0:
         return PSNR_INF
@@ -85,14 +86,9 @@ def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def ssim(a: ImageBuffer, b: ImageBuffer, channel_mode: str = "rgb") -> float:
-    check_channel_mode(channel_mode)
-    if (a.width, a.height) != (b.width, b.height):
-        raise ContractError(
-            f"extent mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
+    pa, pb = _planes(a, b, channel_mode)
     if a.width < WINDOW or a.height < WINDOW:
         raise ContractError(
             f"image {a.width}x{a.height} smaller than the {WINDOW}x{WINDOW} window")
-    pa = _planes(a, channel_mode)
-    pb = _planes(b, channel_mode)
     scores = [_ssim_plane(pa[..., c], pb[..., c]) for c in range(pa.shape[-1])]
     return float(np.mean(scores))

@@ -34,20 +34,15 @@ def charbonnier_loss(pred: Tensor, target: Tensor,
     eps2 = EPSILON * EPSILON
     if mode == "per_pixel_mean":
         root = np.sqrt(d * d + eps2)
-        out = np.asarray(root.mean(), dtype=d.dtype)
-
-        def back(g):
-            gp = g * d / (root * d.size)
-            return gp.astype(d.dtype), (-gp).astype(d.dtype)
+        out, denominator = root.mean(), root * d.size
     else:
-        total = np.sqrt((d * d).sum() + eps2)
-        out = np.asarray(total, dtype=d.dtype)
+        out = denominator = np.sqrt((d * d).sum() + eps2)
 
-        def back(g):
-            gp = g * d / total
-            return gp.astype(d.dtype), (-gp).astype(d.dtype)
+    def back(g):
+        gp = g * d / denominator
+        return gp.astype(d.dtype), (-gp).astype(d.dtype)
 
-    return T._record([pred, target], out, back)
+    return T._record([pred, target], np.asarray(out, dtype=d.dtype), back)
 
 
 @dataclass(frozen=True)

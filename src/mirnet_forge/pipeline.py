@@ -25,13 +25,13 @@ class NumericalError(RuntimeError):
     pass
 
 
-def load_config(path: str, seed: int | None = None) -> RunConfig:
-    """Parse a config file; `seed`, when given, replaces train.seed."""
+def load_config(path: str) -> RunConfig:
+    """Parse a config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config(text, seed=seed)
+    cfg = parse_config(text)
     # a relative manifest is taken relative to the config file itself
     if cfg.data.manifest and not Path(cfg.data.manifest).is_absolute():
         cfg = dataclasses.replace(cfg, data=dataclasses.replace(
@@ -85,7 +85,8 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
         lr = O.cosine_lr(step, sched)
         x, y = D.sample_batch(pairs, sampler, step)
         # drop the last step's gradients so this forward reuses their memory
-        net.zero_grad()
+        for p in params.values():
+            p.grad = None
         with T.Tape() as tape:
             pred = net(Tensor(x))
             loss = O.charbonnier_loss(pred, Tensor(y), cfg.train.loss_mode)

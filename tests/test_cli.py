@@ -93,6 +93,21 @@ class TestTrainCommand:
         cli.cmd_train(str(config), str(b), seed=1)
         assert (a / "final.ckpt").read_bytes() != (b / "final.ckpt").read_bytes()
 
+    def test_seed_flag_equals_seed_key(self, tmp_path):
+        root = tmp_path / "data"
+        config, _ = _make_dataset(root)
+        keyed = root / "keyed.txt"
+        keyed.write_text(BASE_CONFIG + "train.seed = 5\n")
+        flag, key = tmp_path / "flag", tmp_path / "key"
+        assert cli.main(["train", "--config", str(config), "--out", str(flag),
+                         "--seed", "5"]) == cli.EXIT_OK
+        assert cli.main(["train", "--config", str(keyed), "--out", str(key)]) == cli.EXIT_OK
+        names = sorted(p.name for p in flag.iterdir())
+        assert names == sorted(p.name for p in key.iterdir())
+        assert {"config.txt", "loss_log.csv", "final.ckpt"} <= set(names)
+        for name in names:
+            assert (flag / name).read_bytes() == (key / name).read_bytes(), name
+
     def test_bad_config_exits_2(self, tmp_path):
         config, _ = _make_dataset(
             tmp_path / "data", config_text=BASE_CONFIG + "train.momentum = 0.9\n")

@@ -16,6 +16,32 @@ def _random_image(seed, h=8, w=6):
     return ImageBuffer(RNG(seed).integers(0, 256, (h, w, 3), dtype=np.uint8))
 
 
+def _int_error(digits):
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+
+
+# name -> (file bytes, the exact ParseError message); a comment runs to the
+# next \n, any bytes.isspace() byte separates fields, and exactly one
+# whitespace byte follows maxval
+HEADER_ERRORS = {
+    "empty": (b"", "unexpected end of header at byte 0"),
+    "magic_only": (b"P6", "unexpected end of header at byte 2"),
+    "comment_at_eof": (b"P6 2 # no newline", "unexpected end of header at byte 17"),
+    "comment_glued_to_field": (b"P6\n2 1\n255#c\n" + bytes(6),
+                               "bad maxval field at byte 7"),
+    "cr_vt_ff_separators": (b"P6\r2\x0b1\x0cx\n", "bad maxval field at byte 7"),
+    "ff_after_maxval": (b"P6\r\x0b\x0c2 1 255\x0c",
+                        "truncated pixel payload at byte 13: need 6 bytes, found 0"),
+    "comment_before_magic": (b"#c\nP6 2 1 255 #c\n",
+                             "truncated pixel payload at byte 17: need 6 bytes, found 3"),
+    "5000_digit_width": (b"P6\n" + b"9" * 5000 + b" 1\n255\n",
+                         "bad width field at byte 3: " + _int_error(b"9" * 5000)),
+}
+
+
 class TestPPM:
     def test_round_trip_bit_exact(self, tmp_path):
         img = _random_image(0, 11, 7)
@@ -72,6 +98,15 @@ class TestPPM:
         p.write_bytes(b"P6\nx 1\n255\n")
         with pytest.raises(ParseError, match="width"):
             load_ppm(p)
+
+    @pytest.mark.parametrize("raw, message", HEADER_ERRORS.values(),
+                             ids=HEADER_ERRORS.keys())
+    def test_header_error_messages(self, tmp_path, raw, message):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError) as info:
+            load_ppm(p)
+        assert str(info.value) == message
 
     def test_buffer_shape_contract(self):
         with pytest.raises(ContractError):

@@ -162,20 +162,30 @@ class TestPrelu:
 
 class TestSigmoid:
     def test_zero_maps_to_half(self):
-        assert T.sigmoid(Tensor(np.zeros((1, 1, 1, 1)))).data[0, 0, 0, 0] == 0.5
+        out = T.sigmoid(Tensor(np.array([0.0, -0.0]).reshape(1, 1, 1, 2)))
+        assert (out.data == 0.5).all()
 
     def test_saturation(self):
         out = T.sigmoid(Tensor(np.full((1, 1, 1, 1), 50.0)))
         assert abs(out.data[0, 0, 0, 0] - 1.0) < 1e-9
 
     def test_matches_loop_oracle(self):
-        x = randt((2, 3, 4, 4), seed=9)
-        np.testing.assert_allclose(
-            T.sigmoid(x).data, sigmoid_loops(x.data), rtol=1e-12, atol=1e-12)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+            x = randt((2, 3, 4, 4), seed=9, dtype=dtype)
+            out = T.sigmoid(x).data
+            assert out.dtype == dtype
+            np.testing.assert_allclose(out, sigmoid_loops(x.data), rtol=tol, atol=tol)
+
+    def test_nan_propagates(self):
+        out = T.sigmoid(Tensor(np.array([np.nan, 1.0]).reshape(1, 1, 1, 2)))
+        assert np.isnan(out.data[0, 0, 0, 0]) and out.data[0, 0, 0, 1] > 0.5
 
     def test_no_overflow_for_large_negative(self):
-        out = T.sigmoid(Tensor(np.full((1, 1, 1, 1), -900.0)))
-        assert np.isfinite(out.data).all()
+        for dtype in (np.float32, np.float64):
+            with np.errstate(over="raise"):
+                out = T.sigmoid(Tensor(np.array([-900.0, 900.0], dtype).reshape(1, 1, 1, 2)))
+            assert out.data.dtype == dtype
+            np.testing.assert_array_equal(out.data.reshape(-1), [0.0, 1.0])
 
 
 class TestGlobalAvgPool:
