@@ -2,7 +2,8 @@
 
 from .blocks import (DAU, MRB, RRG, SKFF, ChannelAttention, ConcatFusion,
                      MIRNet, NetworkConfig, ResizeDown, ResizeUp,
-                     SpatialAttention, SumFusion, blur_pool, count_parameters)
+                     SpatialAttention, SumFusion, blur_pool, count_parameters,
+                     init_weights)
 from .data import (DegradationSpec, ImageBuffer, PatchSampler,
                    add_gaussian_noise, bicubic_resize, degrade, load_ppm,
                    sample_batch, save_ppm)
@@ -18,7 +19,8 @@ __all__ = [
     "ShapeError", "SpatialAttention", "SumFusion", "Tape", "Tensor",
     "add_gaussian_noise", "backward", "bicubic_resize", "blur_pool",
     "charbonnier_loss", "cosine_lr", "count_parameters", "degrade",
-    "grad_check", "load_ppm", "psnr", "sample_batch", "save_ppm", "ssim",
+    "grad_check", "init_weights", "load_ppm", "psnr", "sample_batch",
+    "save_ppm", "ssim",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ multi-scale residual blocks, recursive residual groups, and the full network.
 All blocks are plain containers of Tensors; forward methods compose the ops
 in `tensor`.  Parameter names follow the block path, e.g.
 "rrg0.mrb1.skff_final.upscale2.weight", which is also the checkpoint naming.
+Constructors take only shape arguments and allocate float32 parameters;
+`init_weights` is the one place that draws weights.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .tensor import ShapeError, Tensor
 
 #: The network restores 8-bit RGB images.
 IMAGE_CHANNELS = 3
-#: The `rng` of a network built with `seed=None`: weights are allocated, not drawn.
-_NO_DRAW = object()
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,32 @@ def count_parameters(module: Module) -> tuple[dict[str, int], int]:
     return counts, sum(counts.values())
 
 
-class Conv2d(Module):
-    """Convolution layer with Kaiming-uniform fan-in init and zero biases."""
+def init_weights(module: Module, seed: int = 0, dtype=np.float32) -> Module:
+    """Draw every conv weight from one generator, in `named_parameters`
+    order, and cast every parameter to `dtype`; returns `module`."""
+    rng = np.random.default_rng(seed)
+    for p in module.named_parameters().values():
+        shape = p.data.shape
+        if len(shape) == 4:
+            # Kaiming-uniform fan-in with the standard leaky-slope correction
+            # (gain^2 = 2/(1+5) = 1/3); keeps the deep unnormalized residual
+            # stack bounded at initialization.
+            bound = np.sqrt(1.0 / np.prod(shape[1:]))
+            p.data = rng.uniform(-bound, bound, shape).astype(dtype)
+        else:
+            p.data = p.data.astype(dtype, copy=False)
+    return module
 
-    def __init__(self, in_c, out_c, kernel, bias=True, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
-        shape = (out_c, in_c, kernel, kernel)
-        # Kaiming-uniform fan-in with the standard leaky-slope correction
-        # (gain^2 = 2/(1+5) = 1/3); keeps the deep unnormalized residual
-        # stack bounded at initialization.
-        bound = np.sqrt(1.0 / (in_c * kernel * kernel))
-        weight = (np.empty(shape, dtype) if rng is _NO_DRAW
-                  else rng.uniform(-bound, bound, shape).astype(dtype))
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_c, dtype=dtype), requires_grad=True) if bias else None
+
+class Conv2d(Module):
+    """Convolution layer: float32 weights left unset until `init_weights`
+    draws them or a checkpoint loads them, and zero biases."""
+
+    def __init__(self, in_c, out_c, kernel, bias=True):
+        self.weight = Tensor(np.empty((out_c, in_c, kernel, kernel), np.float32),
+                             requires_grad=True)
+        self.bias = (Tensor(np.zeros(out_c, np.float32), requires_grad=True)
+                     if bias else None)
 
     def __call__(self, x):
         return T.conv2d(x, self.weight, self.bias)
@@ -104,8 +116,8 @@ class PReLU(Module):
     """Parametric ReLU with slopes starting at 0.25; n=1 gives one shared
     slope, otherwise per-channel."""
 
-    def __init__(self, n, dtype=np.float32):
-        self.slope = Tensor(np.full(n, 0.25, dtype=dtype), requires_grad=True)
+    def __init__(self, n):
+        self.slope = Tensor(np.full(n, 0.25, np.float32), requires_grad=True)
 
     def __call__(self, x):
         return T.prelu(x, self.slope)
@@ -137,16 +149,13 @@ class SKFF(Module):
     single shared PReLU slope (total parameter count C*r + k*r*C + 1).
     """
 
-    def __init__(self, channels, n_branches, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels, n_branches):
         self._n_branches = n_branches
         if n_branches >= 2:
             r = bottleneck_width(channels)
-            self.downscale = Conv2d(channels, r, 1, bias=False, dtype=dtype, rng=rng)
-            self.act = PReLU(1, dtype=dtype)
-            self.upscale = [
-                Conv2d(r, channels, 1, bias=False, dtype=dtype, rng=rng)
-                for _ in range(n_branches)]
+            self.downscale = Conv2d(channels, r, 1, bias=False)
+            self.act = PReLU(1)
+            self.upscale = [Conv2d(r, channels, 1, bias=False) for _ in range(n_branches)]
 
     def __call__(self, branches: list[Tensor]) -> Tensor:
         if len(branches) != self._n_branches:
@@ -167,12 +176,11 @@ class SKFF(Module):
 class ChannelAttention(Module):
     """Squeeze-and-excitation recalibration over channels."""
 
-    def __init__(self, channels, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels):
         mid = bottleneck_width(channels)
-        self.conv1 = Conv2d(channels, mid, 1, dtype=dtype, rng=rng)
-        self.act = PReLU(mid, dtype=dtype)
-        self.conv2 = Conv2d(mid, channels, 1, dtype=dtype, rng=rng)
+        self.conv1 = Conv2d(channels, mid, 1)
+        self.act = PReLU(mid)
+        self.conv2 = Conv2d(mid, channels, 1)
 
     def __call__(self, m):
         gate = T.sigmoid(self.conv2(self.act(self.conv1(T.global_avg_pool(m)))))
@@ -183,9 +191,8 @@ class SpatialAttention(Module):
     """Recalibration by a sigmoid map, a 5x5 convolution of the channel-pooled
     mean/max planes."""
 
-    def __init__(self, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
-        self.conv = Conv2d(2, 1, 5, dtype=dtype, rng=rng)
+    def __init__(self):
+        self.conv = Conv2d(2, 1, 5)
 
     def __call__(self, m):
         gate = T.sigmoid(self.conv(T.channel_pool(m)))
@@ -196,14 +203,13 @@ class DAU(Module):
     """Dual attention unit: channel and spatial attention in parallel on a
     convolutional feature map, merged and added back to the input."""
 
-    def __init__(self, channels, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
-        self.conv1 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
-        self.act = PReLU(channels, dtype=dtype)
-        self.conv2 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
-        self.ca = ChannelAttention(channels, dtype=dtype, rng=rng)
-        self.sa = SpatialAttention(dtype=dtype, rng=rng)
-        self.merge = Conv2d(2 * channels, channels, 1, dtype=dtype, rng=rng)
+    def __init__(self, channels):
+        self.conv1 = Conv2d(channels, channels, 3)
+        self.act = PReLU(channels)
+        self.conv2 = Conv2d(channels, channels, 3)
+        self.ca = ChannelAttention(channels)
+        self.sa = SpatialAttention()
+        self.merge = Conv2d(2 * channels, channels, 1)
 
     def __call__(self, x):
         m = self.conv2(self.act(self.conv1(x)))
@@ -218,13 +224,12 @@ class ResizeDown(Module):
     blur before the stride-2 subsampling.
     """
 
-    def __init__(self, channels, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
-        self.conv1 = Conv2d(channels, channels, 1, dtype=dtype, rng=rng)
-        self.act = PReLU(channels, dtype=dtype)
-        self.conv2 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
-        self.conv3 = Conv2d(channels, 2 * channels, 1, dtype=dtype, rng=rng)
-        self.skip = Conv2d(channels, 2 * channels, 1, dtype=dtype, rng=rng)
+    def __init__(self, channels):
+        self.conv1 = Conv2d(channels, channels, 1)
+        self.act = PReLU(channels)
+        self.conv2 = Conv2d(channels, channels, 3)
+        self.conv3 = Conv2d(channels, 2 * channels, 1)
+        self.skip = Conv2d(channels, 2 * channels, 1)
 
     def __call__(self, x):
         n, c, h, w = x.data.shape
@@ -237,15 +242,14 @@ class ResizeDown(Module):
 class ResizeUp(Module):
     """Residual 2x upsampling: doubles H and W, halves channels (bilinear)."""
 
-    def __init__(self, channels, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels):
         if channels % 2:
             raise T.ContractError("upsampling requires an even channel count")
-        self.conv1 = Conv2d(channels, channels, 1, dtype=dtype, rng=rng)
-        self.act = PReLU(channels, dtype=dtype)
-        self.conv2 = Conv2d(channels, channels, 3, dtype=dtype, rng=rng)
-        self.conv3 = Conv2d(channels, channels // 2, 1, dtype=dtype, rng=rng)
-        self.skip = Conv2d(channels, channels // 2, 1, dtype=dtype, rng=rng)
+        self.conv1 = Conv2d(channels, channels, 1)
+        self.act = PReLU(channels)
+        self.conv2 = Conv2d(channels, channels, 3)
+        self.conv3 = Conv2d(channels, channels // 2, 1)
+        self.skip = Conv2d(channels, channels // 2, 1)
 
     def __call__(self, x):
         main = self.conv3(T.bilinear_upsample2x(self.conv2(self.act(self.conv1(x)))))
@@ -255,15 +259,14 @@ class ResizeUp(Module):
 class ResizeChain(Module):
     """Sequence of resizing modules mapping stream i's scale to stream j's."""
 
-    def __init__(self, src: int, dst: int, base_channels: int,
-                 dtype=np.float32, rng=None):
+    def __init__(self, src: int, dst: int, base_channels: int):
         steps = []
         if src < dst:
             for s in range(src, dst):
-                steps.append(ResizeDown(base_channels << s, dtype=dtype, rng=rng))
+                steps.append(ResizeDown(base_channels << s))
         else:
             for s in range(src, dst, -1):
-                steps.append(ResizeUp(base_channels << s, dtype=dtype, rng=rng))
+                steps.append(ResizeUp(base_channels << s))
         self.step = steps
 
     def __call__(self, x):
@@ -276,12 +279,9 @@ class _Fusion(Module):
     """Cross-stream exchange feeding one receiving stream: resize every
     stream to the receiver's scale, then fuse with SKFF."""
 
-    def __init__(self, dst: int, n_streams: int, base_channels: int,
-                 dtype=np.float32, rng=None):
-        self.path = [
-            ResizeChain(src, dst, base_channels, dtype=dtype, rng=rng)
-            for src in range(n_streams)]
-        self.skff = SKFF(base_channels << dst, n_streams, dtype=dtype, rng=rng)
+    def __init__(self, dst: int, n_streams: int, base_channels: int):
+        self.path = [ResizeChain(src, dst, base_channels) for src in range(n_streams)]
+        self.skff = SKFF(base_channels << dst, n_streams)
 
     def __call__(self, streams: list[Tensor]) -> Tensor:
         return self.skff([p(s) for p, s in zip(self.path, streams)])
@@ -290,13 +290,9 @@ class _Fusion(Module):
 class _Column(Module):
     """One round of per-stream DAUs followed by all-stream fusion."""
 
-    def __init__(self, n_streams, base_channels, dtype=np.float32, rng=None):
-        self.dau = [
-            DAU(base_channels << s, dtype=dtype, rng=rng)
-            for s in range(n_streams)]
-        self.fuse = [
-            _Fusion(s, n_streams, base_channels, dtype=dtype, rng=rng)
-            for s in range(n_streams)]
+    def __init__(self, n_streams, base_channels):
+        self.dau = [DAU(base_channels << s) for s in range(n_streams)]
+        self.fuse = [_Fusion(s, n_streams, base_channels) for s in range(n_streams)]
 
     def __call__(self, streams):
         feats = [d(s) for d, s in zip(self.dau, streams)]
@@ -307,19 +303,14 @@ class MRB(Module):
     """Multi-scale residual block: parallel resolution streams with
     cross-stream exchange, fused back at full resolution with a residual skip."""
 
-    def __init__(self, config: NetworkConfig, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, config: NetworkConfig):
         c = config.base_channels
         s_count = config.n_streams
-        self.stream_down = [
-            ResizeChain(0, s, c, dtype=dtype, rng=rng) for s in range(s_count)]
-        self.col = [
-            _Column(s_count, c, dtype=dtype, rng=rng)
-            for _ in range(config.n_columns)]
-        self.final_up = [
-            ResizeChain(s, 0, c, dtype=dtype, rng=rng) for s in range(s_count)]
-        self.skff_final = SKFF(c, s_count, dtype=dtype, rng=rng)
-        self.conv_out = Conv2d(c, c, 3, dtype=dtype, rng=rng)
+        self.stream_down = [ResizeChain(0, s, c) for s in range(s_count)]
+        self.col = [_Column(s_count, c) for _ in range(config.n_columns)]
+        self.final_up = [ResizeChain(s, 0, c) for s in range(s_count)]
+        self.skff_final = SKFF(c, s_count)
+        self.conv_out = Conv2d(c, c, 3)
 
     def __call__(self, x):
         streams = [chain(x) for chain in self.stream_down]
@@ -332,13 +323,11 @@ class MRB(Module):
 class RRG(Module):
     """Recursive residual group: MRBs wrapped in convs with a long skip."""
 
-    def __init__(self, config: NetworkConfig, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, config: NetworkConfig):
         c = config.base_channels
-        self.conv_in = Conv2d(c, c, 3, dtype=dtype, rng=rng)
-        self.mrb = [
-            MRB(config, dtype=dtype, rng=rng) for _ in range(config.mrb_per_rrg)]
-        self.conv_out = Conv2d(c, c, 3, dtype=dtype, rng=rng)
+        self.conv_in = Conv2d(c, c, 3)
+        self.mrb = [MRB(config) for _ in range(config.mrb_per_rrg)]
+        self.conv_out = Conv2d(c, c, 3)
 
     def __call__(self, x):
         y = self.conv_in(x)
@@ -351,18 +340,19 @@ class MIRNet(Module):
     """Full restoration network: shallow features, RRG stack, residual output
     image_hat = image + residual.
 
-    `seed=None` draws nothing (weights uninitialised), for callers that assign
-    every weight before use (`load_network`) or only count them (`ablate`).
+    A seed runs `init_weights(self, seed, dtype)`.  `seed=None` draws nothing
+    (float32, conv weights unset), for callers that assign every weight
+    before use (`load_network`) or only count them (`ablate`).
     """
 
     def __init__(self, config: NetworkConfig, dtype=np.float32, seed: int | None = 0):
-        rng = _NO_DRAW if seed is None else np.random.default_rng(seed)
         c = config.base_channels
-        self.head = Conv2d(IMAGE_CHANNELS, c, 3, dtype=dtype, rng=rng)
-        self.rrg = [
-            RRG(config, dtype=dtype, rng=rng) for _ in range(config.n_rrg)]
-        self.tail = Conv2d(c, IMAGE_CHANNELS, 3, dtype=dtype, rng=rng)
+        self.head = Conv2d(IMAGE_CHANNELS, c, 3)
+        self.rrg = [RRG(config) for _ in range(config.n_rrg)]
+        self.tail = Conv2d(c, IMAGE_CHANNELS, 3)
         self.config = config
+        if seed is not None:
+            init_weights(self, seed, dtype)
 
     def __call__(self, image):
         n, c, h, w = image.data.shape
@@ -393,10 +383,8 @@ class SumFusion(Module):
 class ConcatFusion(Module):
     """Aggregation by channel concatenation and a bias-free 1x1 projection."""
 
-    def __init__(self, channels, n_branches, dtype=np.float32, rng=None):
-        rng = rng or np.random.default_rng(0)
-        self.proj = Conv2d(n_branches * channels, channels, 1, bias=False,
-                           dtype=dtype, rng=rng)
+    def __init__(self, channels, n_branches):
+        self.proj = Conv2d(n_branches * channels, channels, 1, bias=False)
 
     def __call__(self, branches):
         return self.proj(T.concat(branches))

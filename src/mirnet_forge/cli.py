@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import blocks as B
 from . import data as D
 from . import pipeline as P
@@ -111,6 +109,8 @@ def cmd_ablate(which: str, config_path: str, out_dir: str,
                train_steps: int = 0) -> int:
     if which not in ("aggregation", "layout"):
         raise ConfigError(f"unknown ablation {which!r}")
+    if train_steps < 0:
+        raise ConfigError(f"--train-steps must be >= 0, got {train_steps}")
     cfg = P.load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,7 +133,7 @@ def cmd_ablate(which: str, config_path: str, out_dir: str,
                 for cell, network in networks.items()}
     lines = ["rows\tcols\tparameters\tpsnr_db"]
     for (rows_n, cols_n), network in networks.items():
-        _, total = B.count_parameters(B.MIRNet(network, dtype=np.float32, seed=None))
+        _, total = B.count_parameters(B.MIRNet(network, seed=None))
         psnr_cell = "-"
         if runs:
             run = runs[rows_n, cols_n]

@@ -74,7 +74,7 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     (out / "config.txt").write_text(render_config(cfg))
 
     pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
-    net = B.MIRNet(cfg.network, dtype=np.float32, seed=cfg.train.seed)
+    net = B.MIRNet(cfg.network, seed=cfg.train.seed)
     params = net.named_parameters()
     adam = O.Adam()
     sched = cfg.train.schedule()
@@ -116,7 +116,7 @@ def load_network(cfg: RunConfig, checkpoint_path: str) -> B.MIRNet:
     Raises CheckpointError naming the first entry the network lacks (in file
     order), else the first missing or mismatched parameter.
     """
-    net = B.MIRNet(cfg.network, dtype=np.float32, seed=None)
+    net = B.MIRNet(cfg.network, seed=None)
     params = net.named_parameters()
     stored = load_checkpoint(checkpoint_path)
     for name in stored:
@@ -178,8 +178,8 @@ def aggregation_report() -> list[str]:
     channels, branches = 64, 3
     totals = {name: B.count_parameters(module)[1] for name, module in (
         ("sum", B.SumFusion()),
-        ("concat", B.ConcatFusion(channels, branches, dtype=np.float64)),
-        ("skff", B.SKFF(channels, branches, dtype=np.float64)))}
+        ("concat", B.ConcatFusion(channels, branches)),
+        ("skff", B.SKFF(channels, branches)))}
     return ["method\tparameters",
             *(f"{name}\t{total}" for name, total in totals.items()),
             f"concat_to_skff_ratio\t{totals['concat'] / totals['skff']:.3f}"]

@@ -41,9 +41,6 @@ def _suite(corrupt: str | None):
     def t(*shape, scale=1.0):
         return Tensor(rng.normal(0.0, scale, shape).astype(f64))
 
-    def mrng():
-        return np.random.default_rng(SEED + 1)
-
     entries = []
 
     def block(name, make, max_coords=None, deep=False):
@@ -84,7 +81,7 @@ def _suite(corrupt: str | None):
     block("branch_softmax", softmax_case)
 
     def skff_case(hook):
-        m = B.SKFF(8, 3, dtype=f64, rng=mrng())
+        m = B.init_weights(B.SKFF(8, 3), SEED + 1, f64)
         xs = [t(1, 8, 4, 4) for _ in range(3)]
         f = lambda: T.tmean(T.sigmoid(m([hook(xs[0])] + xs[1:])))
         return f, xs + list(m.named_parameters().values())
@@ -92,31 +89,24 @@ def _suite(corrupt: str | None):
 
     def module_case(build, shape):
         def make(hook):
-            m = build()
+            m = B.init_weights(build(), SEED + 1, f64)
             x = t(*shape)
             f = lambda: T.tmean(T.sigmoid(m(hook(x))))
             return f, [x] + list(m.named_parameters().values())
         return make
 
-    block("ca", module_case(lambda: B.ChannelAttention(8, dtype=f64, rng=mrng()),
-                            (1, 8, 4, 4)), 30, deep=True)
-    block("sa", module_case(lambda: B.SpatialAttention(dtype=f64, rng=mrng()),
-                            (1, 8, 6, 6)), 30, deep=True)
-    block("dau", module_case(lambda: B.DAU(8, dtype=f64, rng=mrng()),
-                             (1, 8, 5, 5)), 20, deep=True)
-    block("resize_down", module_case(lambda: B.ResizeDown(4, dtype=f64, rng=mrng()),
-                                     (1, 4, 6, 6)), 25, deep=True)
-    block("resize_up", module_case(lambda: B.ResizeUp(4, dtype=f64, rng=mrng()),
-                                   (1, 4, 3, 3)), 25, deep=True)
+    block("ca", module_case(lambda: B.ChannelAttention(8), (1, 8, 4, 4)), 30, deep=True)
+    block("sa", module_case(B.SpatialAttention, (1, 8, 6, 6)), 30, deep=True)
+    block("dau", module_case(lambda: B.DAU(8), (1, 8, 5, 5)), 20, deep=True)
+    block("resize_down", module_case(lambda: B.ResizeDown(4), (1, 4, 6, 6)), 25, deep=True)
+    block("resize_up", module_case(lambda: B.ResizeUp(4), (1, 4, 3, 3)), 25, deep=True)
 
     small = B.NetworkConfig(n_rrg=1, mrb_per_rrg=1, n_streams=2, n_columns=1,
                             base_channels=8)
     # Deep composites need per-coordinate step fallbacks: wide steps cross
     # activation kinks, narrow steps drown near-zero gradients in roundoff.
-    block("mrb", module_case(lambda: B.MRB(small, dtype=f64, rng=mrng()),
-                             (1, 8, 4, 4)), 10, deep=True)
-    block("rrg", module_case(lambda: B.RRG(small, dtype=f64, rng=mrng()),
-                             (1, 8, 4, 4)), 10, deep=True)
+    block("mrb", module_case(lambda: B.MRB(small), (1, 8, 4, 4)), 10, deep=True)
+    block("rrg", module_case(lambda: B.RRG(small), (1, 8, 4, 4)), 10, deep=True)
 
     def network_case(hook):
         net = B.MIRNet(small, dtype=f64, seed=SEED + 1)

@@ -131,17 +131,17 @@ def test_criterion_03_residual_identities():
         x = Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32))
         img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32))
 
-        dau = B.DAU(8, rng=RNG(seed + 100))
+        dau = B.init_weights(B.DAU(8), seed + 100)
         dau.merge.weight.data[:] = 0
         dau.merge.bias.data[:] = 0
         ok &= np.array_equal(dau(x).data, x.data)
 
-        mrb = B.MRB(cfg, rng=RNG(seed + 100))
+        mrb = B.init_weights(B.MRB(cfg), seed + 100)
         mrb.conv_out.weight.data[:] = 0
         mrb.conv_out.bias.data[:] = 0
         ok &= np.array_equal(mrb(x).data, x.data)
 
-        rrg = B.RRG(cfg, rng=RNG(seed + 100))
+        rrg = B.init_weights(B.RRG(cfg), seed + 100)
         rrg.conv_out.weight.data[:] = 0
         rrg.conv_out.bias.data[:] = 0
         ok &= np.array_equal(rrg(x).data, x.data)
@@ -158,7 +158,7 @@ def test_criterion_04_skff_algebra():
     c, k = 8, 3
     ok = True
     for seed in range(5):
-        sk = B.SKFF(c, k, dtype=np.float64, rng=RNG(seed))
+        sk = B.init_weights(B.SKFF(c, k), seed, np.float64)
         branches = [Tensor(RNG(seed * 10 + i).normal(size=(2, c, 6, 6)))
                     for i in range(k)]
         out = sk(branches)

@@ -5,6 +5,8 @@ from the layer dimension formulas, independent of the Module tree walk.
 Forward values are checked against straight-line numpy re-implementations.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from mirnet_forge import tensor as T
 from mirnet_forge.blocks import (
     DAU, MRB, RRG, SKFF, ChannelAttention, ConcatFusion, Conv2d, MIRNet,
     NetworkConfig, PReLU, ResizeChain, ResizeDown, ResizeUp, SpatialAttention,
-    SumFusion, blur_pool, bottleneck_width, count_parameters)
+    SumFusion, blur_pool, bottleneck_width, count_parameters, init_weights)
+from mirnet_forge.checkpoint import save_checkpoint
+from mirnet_forge.config import RunConfig
+from mirnet_forge.pipeline import aggregation_report
 from mirnet_forge.tensor import ContractError, ShapeError, Tensor
 
 from oracles import (blur_pool_loops, channel_pool_loops, conv2d_loops,
@@ -107,7 +112,7 @@ class TestSKFF:
         assert sk([x]) is x
 
     def test_zero_branches_give_zero(self):
-        sk = SKFF(8, 3, dtype=np.float64)
+        sk = init_weights(SKFF(8, 3), dtype=np.float64)
         z = [Tensor(np.zeros((2, 8, 4, 4))) for _ in range(3)]
         assert np.all(sk(z).data == 0.0)
 
@@ -115,7 +120,7 @@ class TestSKFF:
         # Equal logits give equal softmax weights; the convex recombination
         # of k identical branches is the branch itself up to rounding in the
         # 1/k weights.
-        sk = SKFF(8, 3, dtype=np.float64, rng=RNG(3))
+        sk = init_weights(SKFF(8, 3), 3, np.float64)
         for up in sk.upscale[1:]:
             up.weight.data[:] = sk.upscale[0].weight.data
         x = Tensor(RNG(4).normal(size=(1, 8, 6, 6)))
@@ -124,7 +129,7 @@ class TestSKFF:
 
     def test_numpy_oracle(self):
         c, k = 8, 3
-        sk = SKFF(c, k, dtype=np.float64, rng=RNG(5))
+        sk = init_weights(SKFF(c, k), 5, np.float64)
         branches = [Tensor(RNG(10 + i).normal(size=(2, c, 4, 4)))
                     for i in range(k)]
         out = sk(branches)
@@ -164,7 +169,7 @@ class TestSKFF:
 class TestChannelAttention:
     def test_zero_weights_halve_input(self):
         # All-zero gating convs give sigmoid(0) = 0.5 on every channel.
-        ca = ChannelAttention(8, dtype=np.float64)
+        ca = init_weights(ChannelAttention(8), dtype=np.float64)
         ca.conv1.weight.data[:] = 0
         ca.conv2.weight.data[:] = 0
         m = Tensor(RNG(0).normal(size=(2, 8, 4, 4)))
@@ -172,7 +177,7 @@ class TestChannelAttention:
 
     def test_numpy_oracle(self):
         c = 8
-        ca = ChannelAttention(c, dtype=np.float64, rng=RNG(7))
+        ca = init_weights(ChannelAttention(c), 7, np.float64)
         m = Tensor(RNG(8).normal(size=(2, c, 5, 5)))
         out = ca(m)
 
@@ -193,7 +198,7 @@ class TestChannelAttention:
 
 class TestSpatialAttention:
     def test_numpy_oracle(self):
-        sa = SpatialAttention(dtype=np.float64, rng=RNG(9))
+        sa = init_weights(SpatialAttention(), 9, np.float64)
         m = Tensor(RNG(10).normal(size=(1, 6, 7, 7)))
         out = sa(m)
 
@@ -204,7 +209,7 @@ class TestSpatialAttention:
         assert np.allclose(out.data, expected, rtol=0, atol=1e-10)
 
     def test_gate_bounded(self):
-        sa = SpatialAttention(rng=RNG(11))
+        sa = init_weights(SpatialAttention(), 11)
         m = Tensor(RNG(12).normal(size=(1, 4, 6, 6)).astype(np.float32) * 10)
         out = sa(m).data
         assert np.all(np.abs(out) <= np.abs(m.data) + 1e-6)
@@ -212,7 +217,7 @@ class TestSpatialAttention:
 
 class TestDAU:
     def test_zero_merge_is_identity(self):
-        dau = DAU(8, dtype=np.float64, rng=RNG(0))
+        dau = init_weights(DAU(8), 0, np.float64)
         dau.merge.weight.data[:] = 0
         dau.merge.bias.data[:] = 0
         x = Tensor(RNG(1).normal(size=(1, 8, 6, 6)))
@@ -220,7 +225,7 @@ class TestDAU:
 
     def test_numpy_oracle(self):
         c = 6
-        dau = DAU(c, dtype=np.float64, rng=RNG(13))
+        dau = init_weights(DAU(c), 13, np.float64)
         x = Tensor(RNG(14).normal(size=(1, c, 6, 6)))
         out = dau(x)
 
@@ -284,12 +289,12 @@ class TestBlurPool:
 
 class TestResize:
     def test_down_shape(self):
-        rd = ResizeDown(8, rng=RNG(0))
+        rd = init_weights(ResizeDown(8), 0)
         x = Tensor(RNG(1).normal(size=(2, 8, 8, 12)).astype(np.float32))
         assert rd(x).data.shape == (2, 16, 4, 6)
 
     def test_up_shape(self):
-        ru = ResizeUp(8, rng=RNG(0))
+        ru = init_weights(ResizeUp(8), 0)
         x = Tensor(RNG(1).normal(size=(2, 8, 4, 6)).astype(np.float32))
         assert ru(x).data.shape == (2, 4, 8, 12)
 
@@ -303,8 +308,8 @@ class TestResize:
             ResizeUp(7)
 
     def test_chain_round_trip_shapes(self):
-        down = ResizeChain(0, 2, 8, rng=RNG(2))
-        up = ResizeChain(2, 0, 8, rng=RNG(3))
+        down = init_weights(ResizeChain(0, 2, 8), 2)
+        up = init_weights(ResizeChain(2, 0, 8), 3)
         x = Tensor(RNG(4).normal(size=(1, 8, 16, 16)).astype(np.float32))
         y = down(x)
         assert y.data.shape == (1, 32, 4, 4)
@@ -334,26 +339,26 @@ def _small_cfg(**kw):
 
 class TestMRB:
     def test_shape_preserved(self):
-        mrb = MRB(_small_cfg(), rng=RNG(0))
+        mrb = init_weights(MRB(_small_cfg()), 0)
         x = Tensor(RNG(1).normal(size=(2, 8, 8, 8)).astype(np.float32))
         assert mrb(x).data.shape == x.data.shape
 
     def test_zero_output_conv_is_identity(self):
-        mrb = MRB(_small_cfg(), dtype=np.float64, rng=RNG(2))
+        mrb = init_weights(MRB(_small_cfg()), 2, np.float64)
         mrb.conv_out.weight.data[:] = 0
         mrb.conv_out.bias.data[:] = 0
         x = Tensor(RNG(3).normal(size=(1, 8, 8, 8)))
         assert np.array_equal(mrb(x).data, x.data)
 
     def test_divisibility_enforced(self):
-        mrb = MRB(_small_cfg(n_streams=3))
+        mrb = init_weights(MRB(_small_cfg(n_streams=3)))
         with pytest.raises(ShapeError):
             mrb(Tensor(np.zeros((1, 8, 6, 8), dtype=np.float32)))
 
     def test_single_stream_degenerates_to_dau(self):
         # With one stream there is nothing to fuse: the block reduces to
         # x + conv(DAU(x)).
-        mrb = MRB(_small_cfg(n_streams=1), dtype=np.float64, rng=RNG(4))
+        mrb = init_weights(MRB(_small_cfg(n_streams=1)), 4, np.float64)
         x = Tensor(RNG(5).normal(size=(1, 8, 6, 6)))
         direct = T.add(x, mrb.conv_out(mrb.col[0].dau[0](x)))
         assert np.array_equal(mrb(x).data, direct.data)
@@ -366,7 +371,7 @@ class TestMRB:
 
 class TestRRGAndNetwork:
     def test_rrg_zero_output_conv_is_identity(self):
-        rrg = RRG(_small_cfg(), dtype=np.float64, rng=RNG(0))
+        rrg = init_weights(RRG(_small_cfg()), 0, np.float64)
         rrg.conv_out.weight.data[:] = 0
         rrg.conv_out.bias.data[:] = 0
         x = Tensor(RNG(1).normal(size=(1, 8, 8, 8)))
@@ -408,10 +413,29 @@ class TestRRGAndNetwork:
         shapes = lambda m: {n: p.data.shape for n, p in m.named_parameters().items()}
         assert list(shapes(bare).items()) == list(shapes(net).items())
         assert count_parameters(bare)[1] == total
+        # drawing into it gives the seeded network, parameter by parameter
+        drawn = init_weights(bare).named_parameters()
+        for name, p in net.named_parameters().items():
+            assert drawn[name].data.dtype == p.data.dtype == np.float32
+            assert np.array_equal(drawn[name].data, p.data), name
         if cfg == NetworkConfig():
             # the reference network: resize chains hold 37,152,768 (62.9%)
             # of its parameters, the DAUs 20,931,948 (35.4%)
             assert total == 59_059_801
+
+    # frozen SHA-256 of the saved checkpoint bytes: a change to the draw
+    # order, the bound or the dtype cast shows here
+    @pytest.mark.parametrize("cfg,seed,digest", [
+        (RunConfig().network, 3,
+         "ed1ab7756dc3de8b09fb77df4a477001218156681693adaad347694773656874"),
+        (_small_cfg(n_streams=3, n_columns=2), 11,
+         "80d9dbcf807ef75597f465ee8c5b56e081e4235f7565dc06f2d57ea5e9e08916"),
+    ], ids=["desk_seed3", "3streams_2columns_seed11"])
+    def test_seeded_draw_is_pinned(self, tmp_path, cfg, seed, digest):
+        net = MIRNet(cfg, seed=seed)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, {n: p.data for n, p in net.named_parameters().items()})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_parameter_naming(self):
         net = MIRNet(_small_cfg(), seed=0)
@@ -426,6 +450,41 @@ class TestRRGAndNetwork:
             NetworkConfig(n_streams=0)
         with pytest.raises(ContractError):
             NetworkConfig(n_rrg=0)
+
+
+# ---------------------------------------------------------------------------
+# weight initialisation
+
+
+class TestInitWeights:
+    def test_constructors_draw_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a constructor drew random numbers")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        cfg = _small_cfg(n_streams=3, n_columns=2)
+        for build in (lambda: Conv2d(4, 8, 3), lambda: PReLU(4),
+                      lambda: SKFF(8, 3), lambda: ChannelAttention(8),
+                      SpatialAttention, lambda: DAU(8), lambda: ResizeDown(8),
+                      lambda: ResizeUp(8), lambda: ResizeChain(2, 0, 8),
+                      lambda: MRB(cfg), lambda: RRG(cfg),
+                      lambda: ConcatFusion(8, 3), SumFusion,
+                      lambda: MIRNet(cfg, seed=None)):
+            dtypes = {p.data.dtype for p in build().named_parameters().values()}
+            assert dtypes <= {np.dtype(np.float32)}
+        aggregation_report()
+
+    def test_float64_seeded_build_is_init_weights(self):
+        cfg = _small_cfg(n_streams=3, n_columns=2)
+        net = MIRNet(cfg, np.float64, seed=5)
+        drawn = init_weights(MIRNet(cfg, seed=None), 5, np.float64).named_parameters()
+        assert list(drawn) == list(net.named_parameters())
+        for name, p in net.named_parameters().items():
+            assert drawn[name].data.dtype == p.data.dtype == np.float64
+            assert np.array_equal(drawn[name].data, p.data), name
+        biases = [p.data for n, p in drawn.items() if n.endswith(".bias")]
+        slopes = [p.data for n, p in drawn.items() if n.endswith(".slope")]
+        assert biases and all(np.all(b == 0.0) for b in biases)
+        assert slopes and all(np.all(s == 0.25) for s in slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +506,7 @@ class TestFusionVariants:
         assert count_parameters(ConcatFusion(64, 3))[1] == 12288
 
     def test_concat_fusion_shape(self):
-        cf = ConcatFusion(4, 3, rng=RNG(2))
+        cf = init_weights(ConcatFusion(4, 3), 2)
         xs = [Tensor(RNG(i).normal(size=(1, 4, 3, 3)).astype(np.float32))
               for i in range(3)]
         assert cf(xs).data.shape == (1, 4, 3, 3)

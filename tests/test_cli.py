@@ -317,6 +317,14 @@ class TestAblateCommand:
         assert counts[(1, 2)] > counts[(1, 1)]
         assert counts[(3, 3)] == max(counts.values())
 
+    def test_negative_train_steps_exits_2_before_writing(self, tmp_path, capsys):
+        config, _ = _make_dataset(tmp_path / "data")
+        out = tmp_path / "ablate"
+        assert cli.main(["ablate", "layout", "--config", str(config),
+                         "--out", str(out), "--train-steps", "-2"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_unknown_ablation_exits_2(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         assert cli.cmd_ablate("dropout", str(config),
