@@ -68,7 +68,7 @@ def main():
     report = pipeline.run_eval(cfg, root / "run" / "final.ckpt",
                                str(root / "test.txt"))
     print("\nheld-out evaluation:")
-    print(cli.format_report(report))
+    print(pipeline.format_report(report))
     gain = report.aggregate[0] - report.input_baseline[0]
     print(f"\nPSNR gain over the noisy input: {gain:+.2f} dB")
 

@@ -81,13 +81,17 @@ def count_parameters(module: Module) -> tuple[dict[str, int], int]:
     return counts, sum(counts.values())
 
 
-def init_weights(module: Module, seed: int = 0, dtype=np.float32) -> Module:
+def init_weights(module: Module, seed: int | None = 0, dtype=np.float32) -> Module:
     """Draw every conv weight from one generator, in `named_parameters`
-    order, and cast every parameter to `dtype`; returns `module`."""
-    rng = np.random.default_rng(seed)
+    order, and cast every parameter to `dtype`; returns `module`.
+    `seed=None` draws nothing: conv weights are allocated unset in `dtype`."""
+    rng = None if seed is None else np.random.default_rng(seed)
     for p in module.named_parameters().values():
         shape = p.data.shape
-        if len(shape) == 4:
+        if len(shape) == 4 and rng is None:
+            # unset memory is reallocated, not cast: it may hold NaN patterns
+            p.data = np.empty(shape, dtype)
+        elif len(shape) == 4:
             # Kaiming-uniform fan-in with the standard leaky-slope correction
             # (gain^2 = 2/(1+5) = 1/3); keeps the deep unnormalized residual
             # stack bounded at initialization.
@@ -260,14 +264,8 @@ class ResizeChain(Module):
     """Sequence of resizing modules mapping stream i's scale to stream j's."""
 
     def __init__(self, src: int, dst: int, base_channels: int):
-        steps = []
-        if src < dst:
-            for s in range(src, dst):
-                steps.append(ResizeDown(base_channels << s))
-        else:
-            for s in range(src, dst, -1):
-                steps.append(ResizeUp(base_channels << s))
-        self.step = steps
+        self.step = ([ResizeDown(base_channels << s) for s in range(src, dst)] if src < dst
+                     else [ResizeUp(base_channels << s) for s in range(src, dst, -1)])
 
     def __call__(self, x):
         for m in self.step:
@@ -341,8 +339,8 @@ class MIRNet(Module):
     image_hat = image + residual.
 
     A seed runs `init_weights(self, seed, dtype)`.  `seed=None` draws nothing
-    (float32, conv weights unset), for callers that assign every weight
-    before use (`load_network`) or only count them (`ablate`).
+    (conv weights unset, in `dtype`), for callers that assign every weight
+    before use (`load_network`) or only count them (`layout_report`).
     """
 
     def __init__(self, config: NetworkConfig, dtype=np.float32, seed: int | None = 0):
@@ -351,7 +349,8 @@ class MIRNet(Module):
         self.rrg = [RRG(config) for _ in range(config.n_rrg)]
         self.tail = Conv2d(c, IMAGE_CHANNELS, 3)
         self.config = config
-        if seed is not None:
+        # float32 and unseeded is what the constructors already built
+        if seed is not None or np.dtype(dtype) != np.float32:
             init_weights(self, seed, dtype)
 
     def __call__(self, image):

@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from pathlib import Path
 
-from . import blocks as B
 from . import data as D
 from . import pipeline as P
 from . import tensor as T
@@ -51,26 +49,11 @@ def _exit_codes(cmd):
     return run
 
 
-def _fmt(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6f}"
-
-
-def format_report(report: P.EvalReport) -> str:
-    """The tab-separated eval report printed by `eval`."""
-    rows = [*report.rows, ("aggregate", *report.aggregate),
-            ("input_baseline", *report.input_baseline)]
-    return "\n".join([f"# channel_mode={report.channel_mode}",
-                      "name\tpsnr_db\tssim",
-                      *(f"{name}\t{_fmt(p)}\t{_fmt(s)}" for name, p, s in rows)])
-
-
 @_exit_codes
 def cmd_train(config_path: str, out_dir: str, seed: int | None = None) -> int:
     cfg = P.load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=seed))
-    if not cfg.data.manifest:
-        raise ConfigError("data.manifest is required for training")
     P.run_training(cfg, out_dir)
     return EXIT_OK
 
@@ -79,9 +62,7 @@ def cmd_train(config_path: str, out_dir: str, seed: int | None = None) -> int:
 def cmd_eval(config_path: str, checkpoint_path: str,
              manifest_path: str | None = None) -> int:
     cfg = P.load_config(config_path)
-    if not (manifest_path or cfg.data.manifest):
-        raise ConfigError("data.manifest is required for evaluation")
-    print(format_report(P.run_eval(cfg, checkpoint_path, manifest_path)))
+    print(P.format_report(P.run_eval(cfg, checkpoint_path, manifest_path)))
     return EXIT_OK
 
 
@@ -112,36 +93,12 @@ def cmd_ablate(which: str, config_path: str, out_dir: str,
     if train_steps < 0:
         raise ConfigError(f"--train-steps must be >= 0, got {train_steps}")
     cfg = P.load_config(config_path)
+    lines = (P.aggregation_report() if which == "aggregation"
+             else P.layout_report(cfg, out_dir, train_steps))
+    print("\n".join(lines))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if which == "aggregation":
-        lines = P.aggregation_report()
-        print("\n".join(lines))
-        (out / "aggregation.txt").write_text("\n".join(lines) + "\n")
-        return EXIT_OK
-
-    networks = {
-        (rows_n, cols_n): dataclasses.replace(
-            cfg.network, n_streams=rows_n, n_columns=cols_n)
-        for rows_n in (1, 2, 3) for cols_n in (1, 2, 3)}
-    runs = {}
-    if train_steps > 0:
-        # building the run configs checks every cell before the first trains
-        train = dataclasses.replace(cfg.train, total_steps=train_steps)
-        runs = {cell: dataclasses.replace(cfg, network=network, train=train)
-                for cell, network in networks.items()}
-    lines = ["rows\tcols\tparameters\tpsnr_db"]
-    for (rows_n, cols_n), network in networks.items():
-        _, total = B.count_parameters(B.MIRNet(network, seed=None))
-        psnr_cell = "-"
-        if runs:
-            run = runs[rows_n, cols_n]
-            _, ckpt = P.run_training(run, out / f"r{rows_n}c{cols_n}")
-            psnr_cell = _fmt(P.run_eval(run, ckpt).aggregate[0])
-        lines.append(f"{rows_n}\t{cols_n}\t{total}\t{psnr_cell}")
-    print("\n".join(lines))
-    (out / "layout.txt").write_text("\n".join(lines) + "\n")
+    (out / f"{which}.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 

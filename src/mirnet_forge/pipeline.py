@@ -59,6 +59,8 @@ def load_manifest(manifest_path: str) -> list[tuple[str, D.ImageBuffer]]:
 
 def build_pairs(cfg: RunConfig, manifest_path: str):
     """Degraded (input, target) pairs, one RNG stream per image."""
+    if not manifest_path:
+        raise ConfigError("data.manifest is required")
     pairs = []
     for i, (name, img) in enumerate(load_manifest(manifest_path)):
         spec = dataclasses.replace(
@@ -69,43 +71,46 @@ def build_pairs(cfg: RunConfig, manifest_path: str):
 
 
 def run_training(cfg: RunConfig, out_dir: str | Path):
+    """Train into `out_dir`.  The data load before anything is written, and
+    `loss_log.csv` gets one flushed row per completed step."""
+    pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(render_config(cfg))
 
-    pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
     net = B.MIRNet(cfg.network, seed=cfg.train.seed)
     params = net.named_parameters()
     adam = O.Adam()
     sched = cfg.train.schedule()
     sampler = cfg.train.sampler()
 
-    rows = ["step,lr,loss"]
-    for step in range(cfg.train.total_steps):
-        lr = O.cosine_lr(step, sched)
-        x, y = D.sample_batch(pairs, sampler, step)
-        # drop the last step's gradients so this forward reuses their memory
-        for p in params.values():
-            p.grad = None
-        with T.Tape() as tape:
-            pred = net(Tensor(x))
-            loss = O.charbonnier_loss(pred, Tensor(y), cfg.train.loss_mode)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite loss at step {step}")
-        # allocated above the first tape, Adam's state keeps the memory that
-        # backward frees in the heap, so later forwards reuse it
-        adam.init_state(params)
-        T.backward(tape, loss)
-        adam.step(params, lr)
-        rows.append(f"{step},{lr:.10e},{value:.10e}")
-        if cfg.train.checkpoint_every and (step + 1) % cfg.train.checkpoint_every == 0:
-            save_checkpoint(out / f"checkpoint_{step + 1:06d}.ckpt",
-                            {name: p.data for name, p in params.items()})
+    with open(out / "loss_log.csv", "w") as log:
+        log.write("step,lr,loss\n")
+        for step in range(cfg.train.total_steps):
+            lr = O.cosine_lr(step, sched)
+            x, y = D.sample_batch(pairs, sampler, step)
+            # drop the last step's gradients so this forward reuses their memory
+            for p in params.values():
+                p.grad = None
+            with T.Tape() as tape:
+                pred = net(Tensor(x))
+                loss = O.charbonnier_loss(pred, Tensor(y), cfg.train.loss_mode)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NumericalError(f"non-finite loss at step {step}")
+            # allocated above the first tape, Adam's state keeps the memory that
+            # backward frees in the heap, so later forwards reuse it
+            adam.init_state(params)
+            T.backward(tape, loss)
+            adam.step(params, lr)
+            log.write(f"{step},{lr:.10e},{value:.10e}\n")
+            log.flush()
+            if cfg.train.checkpoint_every and (step + 1) % cfg.train.checkpoint_every == 0:
+                save_checkpoint(out / f"checkpoint_{step + 1:06d}.ckpt",
+                                {name: p.data for name, p in params.items()})
 
     final = out / "final.ckpt"
     save_checkpoint(final, {name: p.data for name, p in params.items()})
-    (out / "loss_log.csv").write_text("\n".join(rows) + "\n")
     return net, final
 
 
@@ -158,6 +163,19 @@ class EvalReport:
     input_baseline: tuple[float, float]
 
 
+def _fmt(value: float) -> str:
+    return "inf" if math.isinf(value) else f"{value:.6f}"
+
+
+def format_report(report: EvalReport) -> str:
+    """The tab-separated eval report printed by `eval`."""
+    rows = [*report.rows, ("aggregate", *report.aggregate),
+            ("input_baseline", *report.input_baseline)]
+    return "\n".join([f"# channel_mode={report.channel_mode}",
+                      "name\tpsnr_db\tssim",
+                      *(f"{name}\t{_fmt(p)}\t{_fmt(s)}" for name, p, s in rows)])
+
+
 def run_eval(cfg: RunConfig, checkpoint_path: str,
              manifest_path: str | None = None) -> EvalReport:
     net = load_network(cfg, checkpoint_path)
@@ -183,3 +201,30 @@ def aggregation_report() -> list[str]:
     return ["method\tparameters",
             *(f"{name}\t{total}" for name, total in totals.items()),
             f"concat_to_skff_ratio\t{totals['concat'] / totals['skff']:.3f}"]
+
+
+def layout_report(cfg: RunConfig, out_dir: str | Path,
+                  train_steps: int = 0) -> list[str]:
+    """Parameter count of `cfg.network` at 1-3 streams x 1-3 columns; with
+    `train_steps`, each cell also trains that many steps into
+    `out_dir/r<streams>c<columns>` and reports its aggregate eval PSNR."""
+    networks = {
+        (rows_n, cols_n): dataclasses.replace(
+            cfg.network, n_streams=rows_n, n_columns=cols_n)
+        for rows_n in (1, 2, 3) for cols_n in (1, 2, 3)}
+    runs = {}
+    if train_steps > 0:
+        # building the run configs checks every cell before the first trains
+        train = dataclasses.replace(cfg.train, total_steps=train_steps)
+        runs = {cell: dataclasses.replace(cfg, network=network, train=train)
+                for cell, network in networks.items()}
+    lines = ["rows\tcols\tparameters\tpsnr_db"]
+    for (rows_n, cols_n), network in networks.items():
+        _, total = B.count_parameters(B.MIRNet(network, seed=None))
+        psnr_cell = "-"
+        if runs:
+            run = runs[rows_n, cols_n]
+            _, ckpt = run_training(run, Path(out_dir) / f"r{rows_n}c{cols_n}")
+            psnr_cell = _fmt(run_eval(run, ckpt).aggregate[0])
+        lines.append(f"{rows_n}\t{cols_n}\t{total}\t{psnr_cell}")
+    return lines

@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mirnet_forge import blocks
 from mirnet_forge import tensor as T
 from mirnet_forge.blocks import (
     DAU, MRB, RRG, SKFF, ChannelAttention, ConcatFusion, Conv2d, MIRNet,
@@ -485,6 +486,23 @@ class TestInitWeights:
         slopes = [p.data for n, p in drawn.items() if n.endswith(".slope")]
         assert biases and all(np.all(b == 0.0) for b in biases)
         assert slopes and all(np.all(s == 0.25) for s in slopes)
+
+    def test_unseeded_build_keeps_dtype(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an unseeded build drew random numbers")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        cfg = _small_cfg(n_streams=3, n_columns=2)
+        params = MIRNet(cfg, np.float64, seed=None).named_parameters()
+        assert list(params) == list(MIRNet(cfg, seed=None).named_parameters())
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}
+        biases = [p.data for n, p in params.items() if n.endswith(".bias")]
+        slopes = [p.data for n, p in params.items() if n.endswith(".slope")]
+        assert biases and all(np.all(b == 0.0) for b in biases)
+        assert slopes and all(np.all(s == 0.25) for s in slopes)
+        # float32 is the checkpoint load path: no walk, no second allocation
+        monkeypatch.setattr(blocks, "init_weights", no_draw)
+        params = MIRNet(cfg, seed=None).named_parameters()
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,30 @@ class TestTrainCommand:
             tmp_path / "data",
             config_text="train.total_steps = 1\ntrain.patch_size = 16\n")
         assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
 
     def test_missing_manifest_file_exits_3(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         (tmp_path / "data" / "manifest.txt").unlink()
         assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_DATA
+        assert not (tmp_path / "run").exists()
 
     def test_corrupt_image_exits_3(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         (tmp_path / "data" / "img_1.ppm").write_bytes(b"P6\n9 9\n255\nxy")
         assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_DATA
+
+    def test_non_finite_loss_keeps_completed_rows(self, tmp_path, capsys):
+        # the log is streamed: a run stopped at step 1 keeps step 0's row
+        config, _ = _make_dataset(
+            tmp_path / "data", config_text=BASE_CONFIG + "train.lr_init = 1e30\n")
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning):  # the diverging weights overflow
+            assert cli.cmd_train(str(config), str(out)) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numerical failure: non-finite loss at step 1\n"
+        log = (out / "loss_log.csv").read_text().splitlines()
+        assert log[0] == "step,lr,loss"
+        assert len(log) == 2 and log[1].startswith("0,1.0000000000e+30,")
 
 
 def _identity_checkpoint(tmp_path, config):
@@ -318,12 +332,38 @@ class TestAblateCommand:
         assert counts[(3, 3)] == max(counts.values())
 
     def test_negative_train_steps_exits_2_before_writing(self, tmp_path, capsys):
+        # also a grid that would train without a manifest
+        config, _ = _make_dataset(tmp_path / "data")
+        no_manifest = tmp_path / "data" / "no_manifest.txt"
+        no_manifest.write_text(BASE_CONFIG + "data.manifest =\n")
+        out = tmp_path / "ablate"
+        for path, steps, err in (
+                (config, "-2", "--train-steps must be >= 0, got -2"),
+                (no_manifest, "1", "data.manifest is required")):
+            assert cli.main(["ablate", "layout", "--config", str(path),
+                             "--out", str(out), "--train-steps", steps]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {err}\n"
+            assert not out.exists()
+
+    def test_layout_grid_trains_every_cell(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "ablate"
         assert cli.main(["ablate", "layout", "--config", str(config),
-                         "--out", str(out), "--train-steps", "-2"]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not out.exists()
+                         "--out", str(out), "--train-steps", "1"]) == cli.EXIT_OK
+        rows = (out / "layout.txt").read_text().strip().splitlines()
+        assert capsys.readouterr().out.strip().splitlines() == rows
+        assert len(rows) == 10
+        cells = {}
+        for row in rows[1:]:
+            r, c, _, cell = row.split("\t")
+            assert np.isfinite(float(cell)), row
+            cells[f"r{r}c{c}"] = cell
+        assert sorted(p.parent.name for p in out.glob("*/final.ckpt")) == sorted(cells)
+        # the r3c2 cell's echoed config scores its checkpoint to the same value
+        cfg = pipeline.load_config(str(out / "r3c2" / "config.txt"))
+        assert (cfg.network.n_streams, cfg.network.n_columns) == (3, 2)
+        report = pipeline.run_eval(cfg, str(out / "r3c2" / "final.ckpt"))
+        assert cells["r3c2"] == f"{report.aggregate[0]:.6f}"
 
     def test_unknown_ablation_exits_2(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
@@ -372,6 +412,10 @@ BAD_INPUTS = {
     # patch 6 suits 2 streams, not the grid's 3-stream cells
     "ablate_layout_cell_patch": (
         b"train.patch_size = 6\n",
+        ["ablate", "layout", "--out", "{root}/ablate", "--train-steps", "1"],
+        cli.EXIT_CONFIG, "config error"),
+    "ablate_layout_no_manifest": (
+        b"data.manifest =\n",
         ["ablate", "layout", "--out", "{root}/ablate", "--train-steps", "1"],
         cli.EXIT_CONFIG, "config error"),
 }
