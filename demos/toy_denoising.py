@@ -58,7 +58,8 @@ def main():
         "data.noise_sigma = 25\n")
 
     print(f"training the desk-scale network for {steps} steps...")
-    assert cli.cmd_train(str(root / "config.txt"), str(root / "run")) == 0
+    assert cli.main(["train", "--config", str(root / "config.txt"),
+                     "--out", str(root / "run")]) == 0
     log = (root / "run" / "loss_log.csv").read_text().splitlines()
     first, last = log[1].split(","), log[-1].split(",")
     print(f"loss: {float(first[2]):.4f} (step {first[0]}) -> "

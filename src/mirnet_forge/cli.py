@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import sys
 from pathlib import Path
 
@@ -34,75 +33,9 @@ EXIT_TABLE = (
 )
 
 
-def _exit_codes(cmd):
-    """Map the errors of EXIT_TABLE to their exit code and a stderr line."""
-    @functools.wraps(cmd)
-    def run(*args, **kwargs):
-        try:
-            return cmd(*args, **kwargs)
-        except Exception as exc:
-            for types, code, label in EXIT_TABLE:
-                if isinstance(exc, types):
-                    print(f"{label}: {exc}", file=sys.stderr)
-                    return code
-            raise
-    return run
-
-
-@_exit_codes
-def cmd_train(config_path: str, out_dir: str, seed: int | None = None) -> int:
-    cfg = P.load_config(config_path)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=seed))
-    P.run_training(cfg, out_dir)
-    return EXIT_OK
-
-
-@_exit_codes
-def cmd_eval(config_path: str, checkpoint_path: str,
-             manifest_path: str | None = None) -> int:
-    cfg = P.load_config(config_path)
-    print(P.format_report(P.run_eval(cfg, checkpoint_path, manifest_path)))
-    return EXIT_OK
-
-
-@_exit_codes
-def cmd_infer(config_path: str, checkpoint_path: str,
-              in_path: str, out_path: str) -> int:
-    net = P.load_network(P.load_config(config_path), checkpoint_path)
-    D.save_ppm(P.restore_image(net, D.load_ppm(in_path)), out_path)
-    return EXIT_OK
-
-
-def cmd_gradcheck(corrupt: str | None = None) -> int:
-    reports = run_gradcheck_suite(corrupt=corrupt)
-    for rep in reports:
-        print(f"{rep.name}\t{rep.max_rel_err:.3e}\t{'ok' if rep.passed else 'FAIL'}")
-    failing = [rep.name for rep in reports if not rep.passed]
-    if failing:
-        print("failing blocks: " + ", ".join(failing), file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
-@_exit_codes
-def cmd_ablate(which: str, config_path: str, out_dir: str,
-               train_steps: int = 0) -> int:
-    if which not in ("aggregation", "layout"):
-        raise ConfigError(f"unknown ablation {which!r}")
-    if train_steps < 0:
-        raise ConfigError(f"--train-steps must be >= 0, got {train_steps}")
-    cfg = P.load_config(config_path)
-    lines = (P.aggregation_report() if which == "aggregation"
-             else P.layout_report(cfg, out_dir, train_steps))
-    print("\n".join(lines))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{which}.txt").write_text("\n".join(lines) + "\n")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
+    """Run one command; an error of EXIT_TABLE becomes its exit code and one
+    `label: message` line on stderr."""
     parser = argparse.ArgumentParser(
         prog="mirnet-forge",
         description="Multi-scale residual image restoration toolkit")
@@ -133,15 +66,44 @@ def main(argv=None) -> int:
     p_ablate.add_argument("--train-steps", type=int, default=0)
 
     args = parser.parse_args(argv)
-    if args.command == "train":
-        return cmd_train(args.config, args.out, args.seed)
-    if args.command == "eval":
-        return cmd_eval(args.config, args.checkpoint, args.manifest)
-    if args.command == "infer":
-        return cmd_infer(args.config, args.checkpoint, args.input, args.output)
-    if args.command == "gradcheck":
-        return cmd_gradcheck()
-    return cmd_ablate(args.which, args.config, args.out, args.train_steps)
+    try:
+        if args.command == "gradcheck":
+            reports = run_gradcheck_suite()
+            for rep in reports:
+                verdict = "ok" if rep.passed else "FAIL"
+                print(f"{rep.name}\t{rep.max_rel_err:.3e}\t{verdict}")
+            failing = [rep.name for rep in reports if not rep.passed]
+            if failing:
+                print("failing blocks: " + ", ".join(failing), file=sys.stderr)
+                return EXIT_VERIFY
+            return EXIT_OK
+        if args.command == "ablate" and args.train_steps < 0:
+            raise ConfigError(f"--train-steps must be >= 0, got {args.train_steps}")
+        cfg = P.load_config(args.config)
+        if args.command == "train":
+            if args.seed is not None:
+                cfg = dataclasses.replace(
+                    cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
+            P.run_training(cfg, args.out)
+        elif args.command == "eval":
+            print(P.format_report(P.run_eval(cfg, args.checkpoint, args.manifest)))
+        elif args.command == "infer":
+            net = P.load_network(cfg, args.checkpoint)
+            D.save_ppm(P.restore_image(net, D.load_ppm(args.input)), args.output)
+        else:
+            lines = (P.aggregation_report() if args.which == "aggregation"
+                     else P.layout_report(cfg, args.out, args.train_steps))
+            print("\n".join(lines))
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{args.which}.txt").write_text("\n".join(lines) + "\n")
+        return EXIT_OK
+    except Exception as exc:
+        for types, code, label in EXIT_TABLE:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

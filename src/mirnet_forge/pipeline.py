@@ -92,17 +92,22 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
             # drop the last step's gradients so this forward reuses their memory
             for p in params.values():
                 p.grad = None
-            with T.Tape() as tape:
-                pred = net(Tensor(x))
-                loss = O.charbonnier_loss(pred, Tensor(y), cfg.train.loss_mode)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericalError(f"non-finite loss at step {step}")
-            # allocated above the first tape, Adam's state keeps the memory that
-            # backward frees in the heap, so later forwards reuse it
-            adam.init_state(params)
-            T.backward(tape, loss)
-            adam.step(params, lr)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    with T.Tape() as tape:
+                        pred = net(Tensor(x))
+                        loss = O.charbonnier_loss(pred, Tensor(y), cfg.train.loss_mode)
+                    # errstate sees only this thread's flags, not a BLAS worker's
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise NumericalError(f"non-finite loss at step {step}")
+                    # allocated above the first tape, Adam's state keeps the memory
+                    # that backward frees in the heap, so later forwards reuse it
+                    adam.init_state(params)
+                    T.backward(tape, loss)
+                    adam.step(params, lr)
+            except FloatingPointError as exc:
+                raise NumericalError(f"{exc} at step {step}") from exc
             log.write(f"{step},{lr:.10e},{value:.10e}\n")
             log.flush()
             if cfg.train.checkpoint_every and (step + 1) % cfg.train.checkpoint_every == 0:
@@ -150,6 +155,8 @@ def restore_image(net: B.MIRNet, image: D.ImageBuffer) -> D.ImageBuffer:
                      mode="reflect")
     out = net(Tensor(arr[None])).data[0]
     out = out[:, top:top + h, left:left + w]
+    if not np.isfinite(out).all():
+        raise NumericalError("restored image has non-finite values")
     return D.to_image(out)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command tests: train, eval, infer, gradcheck, ablate."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from mirnet_forge import optim as O
 from mirnet_forge import pipeline
 from mirnet_forge.checkpoint import load_checkpoint, save_checkpoint
 from mirnet_forge.config import parse_config, render_config
+from mirnet_forge.verify import run_gradcheck_suite
 
 RNG = np.random.default_rng
 
@@ -53,7 +55,8 @@ class TestTrainCommand:
     def test_outputs(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "run"
-        assert cli.cmd_train(str(config), str(out)) == cli.EXIT_OK
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_OK
 
         assert (out / "final.ckpt").exists()
         assert (out / "checkpoint_000002.ckpt").exists()
@@ -73,7 +76,7 @@ class TestTrainCommand:
     def test_checkpoint_holds_exactly_the_parameters(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "run"
-        cli.cmd_train(str(config), str(out))
+        cli.main(["train", "--config", str(config), "--out", str(out)])
         net = pipeline.load_network(pipeline.load_config(str(config)),
                                     str(out / "final.ckpt"))
         assert list(load_checkpoint(out / "final.ckpt")) == list(net.named_parameters())
@@ -81,16 +84,18 @@ class TestTrainCommand:
     def test_bitwise_reproducible(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         a, b = tmp_path / "a", tmp_path / "b"
-        assert cli.cmd_train(str(config), str(a)) == cli.EXIT_OK
-        assert cli.cmd_train(str(config), str(b)) == cli.EXIT_OK
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(a)]) == cli.EXIT_OK
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(b)]) == cli.EXIT_OK
         assert (a / "final.ckpt").read_bytes() == (b / "final.ckpt").read_bytes()
         assert (a / "loss_log.csv").read_text() == (b / "loss_log.csv").read_text()
 
     def test_seed_changes_run(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         a, b = tmp_path / "a", tmp_path / "b"
-        cli.cmd_train(str(config), str(a), seed=0)
-        cli.cmd_train(str(config), str(b), seed=1)
+        cli.main(["train", "--config", str(config), "--out", str(a), "--seed", "0"])
+        cli.main(["train", "--config", str(config), "--out", str(b), "--seed", "1"])
         assert (a / "final.ckpt").read_bytes() != (b / "final.ckpt").read_bytes()
 
     def test_seed_flag_equals_seed_key(self, tmp_path):
@@ -111,34 +116,38 @@ class TestTrainCommand:
     def test_bad_config_exits_2(self, tmp_path):
         config, _ = _make_dataset(
             tmp_path / "data", config_text=BASE_CONFIG + "train.momentum = 0.9\n")
-        assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_CONFIG
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
 
     def test_missing_manifest_key_exits_2(self, tmp_path):
         config, _ = _make_dataset(
             tmp_path / "data",
             config_text="train.total_steps = 1\ntrain.patch_size = 16\n")
-        assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_CONFIG
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
         assert not (tmp_path / "run").exists()
 
     def test_missing_manifest_file_exits_3(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         (tmp_path / "data" / "manifest.txt").unlink()
-        assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_DATA
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_DATA
         assert not (tmp_path / "run").exists()
 
     def test_corrupt_image_exits_3(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         (tmp_path / "data" / "img_1.ppm").write_bytes(b"P6\n9 9\n255\nxy")
-        assert cli.cmd_train(str(config), str(tmp_path / "run")) == cli.EXIT_DATA
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_DATA
 
     def test_non_finite_loss_keeps_completed_rows(self, tmp_path, capsys):
         # the log is streamed: a run stopped at step 1 keeps step 0's row
         config, _ = _make_dataset(
             tmp_path / "data", config_text=BASE_CONFIG + "train.lr_init = 1e30\n")
         out = tmp_path / "run"
-        with pytest.warns(RuntimeWarning):  # the diverging weights overflow
-            assert cli.cmd_train(str(config), str(out)) == cli.EXIT_NUMERIC
-        assert capsys.readouterr().err == "numerical failure: non-finite loss at step 1\n"
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert re.fullmatch(r"numerical failure: .+ at step 1\n", capsys.readouterr().err)
         log = (out / "loss_log.csv").read_text().splitlines()
         assert log[0] == "step,lr,loss"
         assert len(log) == 2 and log[1].startswith("0,1.0000000000e+30,")
@@ -155,11 +164,20 @@ def _identity_checkpoint(tmp_path, config):
     return path
 
 
+def _nan_checkpoint(tmp_path, ckpt):
+    """A copy of the checkpoint `ckpt` with one NaN weight."""
+    params = load_checkpoint(ckpt)
+    params["head.weight"].flat[0] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", params)
+    return tmp_path / "nan.ckpt"
+
+
 class TestEvalCommand:
     def test_report_layout(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
         ckpt = _identity_checkpoint(tmp_path, config)
-        assert cli.cmd_eval(str(config), str(ckpt)) == cli.EXIT_OK
+        assert cli.main(["eval", "--config", str(config),
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "# channel_mode=rgb"
         assert lines[1] == "name\tpsnr_db\tssim"
@@ -174,7 +192,7 @@ class TestEvalCommand:
         # restored == degraded input, so aggregate equals the baseline row
         config, _ = _make_dataset(tmp_path / "data")
         ckpt = _identity_checkpoint(tmp_path, config)
-        cli.cmd_eval(str(config), str(ckpt))
+        cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)])
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-2].split("\t")[1:] == lines[-1].split("\t")[1:]
 
@@ -184,7 +202,8 @@ class TestEvalCommand:
             tmp_path / "data",
             config_text=BASE_CONFIG.replace("noise_sigma = 25", "noise_sigma = 0"))
         ckpt = _identity_checkpoint(tmp_path, config)
-        assert cli.cmd_eval(str(config), str(ckpt)) == cli.EXIT_OK
+        assert cli.main(["eval", "--config", str(config),
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         for row in lines[2:]:
             assert row.split("\t")[1] == "inf"
@@ -195,7 +214,8 @@ class TestEvalCommand:
         ckpt = _identity_checkpoint(tmp_path, config)
         bigger = tmp_path / "data" / "big.txt"
         bigger.write_text(BASE_CONFIG + "network.base_channels = 16\n")
-        assert cli.cmd_eval(str(bigger), str(ckpt)) == cli.EXIT_CONFIG
+        assert cli.main(["eval", "--config", str(bigger),
+                         "--checkpoint", str(ckpt)]) == cli.EXIT_CONFIG
         assert "head.weight" in capsys.readouterr().err
 
     def test_y_channel_mode_in_header(self, tmp_path, capsys):
@@ -203,7 +223,7 @@ class TestEvalCommand:
             tmp_path / "data",
             config_text=BASE_CONFIG + "eval.channel_mode = y_channel\n")
         ckpt = _identity_checkpoint(tmp_path, config)
-        cli.cmd_eval(str(config), str(ckpt))
+        cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt)])
         assert capsys.readouterr().out.startswith("# channel_mode=y_channel")
 
     def test_loaded_parameters_update_in_place(self, tmp_path):
@@ -248,8 +268,8 @@ class TestInferCommand:
         src = D.ImageBuffer(
             RNG(5).integers(0, 256, (30, 30, 3), dtype=np.uint8))
         D.save_ppm(src, tmp_path / "in.ppm")
-        rc = cli.cmd_infer(str(config), str(ckpt),
-                           str(tmp_path / "in.ppm"), str(tmp_path / "out.ppm"))
+        rc = cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt),
+                       str(tmp_path / "in.ppm"), str(tmp_path / "out.ppm")])
         assert rc == cli.EXIT_OK
         out = D.load_ppm(tmp_path / "out.ppm")
         assert np.array_equal(out.pixels, src.pixels)
@@ -258,8 +278,9 @@ class TestInferCommand:
         config, _ = _make_dataset(tmp_path / "data")
         src = tmp_path / "in.ppm"
         D.save_ppm(_smooth_image(1), src)
-        rc = cli.cmd_infer(str(config), str(tmp_path / "nope.ckpt"),
-                           str(src), str(tmp_path / "out.ppm"))
+        rc = cli.main(["infer", "--config", str(config),
+                       "--checkpoint", str(tmp_path / "nope.ckpt"),
+                       str(src), str(tmp_path / "out.ppm")])
         assert rc == cli.EXIT_CONFIG
 
     def test_bad_input_image_exits_3(self, tmp_path):
@@ -267,8 +288,8 @@ class TestInferCommand:
         ckpt = _identity_checkpoint(tmp_path, config)
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n4 4\n255\nxx")
-        rc = cli.cmd_infer(str(config), str(ckpt),
-                           str(bad), str(tmp_path / "out.ppm"))
+        rc = cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt),
+                       str(bad), str(tmp_path / "out.ppm")])
         assert rc == cli.EXIT_DATA
 
     def test_truncated_checkpoint_exits_2_without_traceback(self, tmp_path):
@@ -293,12 +314,14 @@ class TestInferCommand:
 
 class TestGradcheckCommand:
     def test_clean_suite_passes(self, capsys):
-        assert cli.cmd_gradcheck() == cli.EXIT_OK
+        assert cli.main(["gradcheck"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "network\t" in out and "FAIL" not in out
 
-    def test_corrupted_backward_detected_and_named(self, capsys):
-        assert cli.cmd_gradcheck(corrupt="dau") == cli.EXIT_VERIFY
+    def test_corrupted_backward_detected_and_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_gradcheck_suite",
+                            lambda: run_gradcheck_suite(corrupt="dau"))
+        assert cli.main(["gradcheck"]) == cli.EXIT_VERIFY
         captured = capsys.readouterr()
         assert "dau" in captured.err
 
@@ -307,7 +330,8 @@ class TestAblateCommand:
     def test_aggregation_counts(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "ablate"
-        assert cli.cmd_ablate("aggregation", str(config), str(out)) == cli.EXIT_OK
+        assert cli.main(["ablate", "aggregation", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_OK
         text = (out / "aggregation.txt").read_text()
         assert "sum\t0" in text
         assert "concat\t12288" in text
@@ -317,7 +341,8 @@ class TestAblateCommand:
     def test_layout_grid(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "ablate"
-        assert cli.cmd_ablate("layout", str(config), str(out)) == cli.EXIT_OK
+        assert cli.main(["ablate", "layout", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_OK
         rows = (out / "layout.txt").read_text().strip().splitlines()
         assert rows[0] == "rows\tcols\tparameters\tpsnr_db"
         assert len(rows) == 10
@@ -367,13 +392,16 @@ class TestAblateCommand:
 
     def test_unknown_ablation_exits_2(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
-        assert cli.cmd_ablate("dropout", str(config),
-                              str(tmp_path / "x")) == cli.EXIT_CONFIG
+        # argparse's choices reject it: SystemExit with the usage error code
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "dropout", "--config", str(config),
+                      "--out", str(tmp_path / "x")])
+        assert exc.value.code == cli.EXIT_CONFIG
 
 
 # (config lines appended to BASE_CONFIG, command and its arguments, exit code,
 # stderr label); "{root}" is the dataset directory, "{ckpt}" an identity
-# checkpoint of BASE_CONFIG's network.
+# checkpoint of BASE_CONFIG's network and "{nan_ckpt}" one with a NaN weight.
 BAD_INPUTS = {
     "lr_min_zero": (b"train.lr_min = 0\n", ["train", "--out", "{root}/run"],
                     cli.EXIT_CONFIG, "config error"),
@@ -418,6 +446,12 @@ BAD_INPUTS = {
         b"data.manifest =\n",
         ["ablate", "layout", "--out", "{root}/ablate", "--train-steps", "1"],
         cli.EXIT_CONFIG, "config error"),
+    "eval_nan_checkpoint": (b"", ["eval", "--checkpoint", "{nan_ckpt}"],
+                            cli.EXIT_NUMERIC, "numerical failure"),
+    "infer_nan_checkpoint": (
+        b"", ["infer", "--checkpoint", "{nan_ckpt}",
+              "{root}/img_0.ppm", "{root}/out.ppm"],
+        cli.EXIT_NUMERIC, "numerical failure"),
 }
 
 
@@ -427,11 +461,39 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     root = tmp_path / "data"
     config, _ = _make_dataset(root)
     ckpt = _identity_checkpoint(tmp_path, config)
+    nan_ckpt = _nan_checkpoint(tmp_path, ckpt)
     config.write_bytes(BASE_CONFIG.encode() + extra)
     (root / "latin1.txt").write_bytes(b"img_\xe9.ppm\n")
-    args = [a.format(root=root, ckpt=ckpt) for a in args]
+    args = [a.format(root=root, ckpt=ckpt, nan_ckpt=nan_ckpt) for a in args]
     assert cli.main([args[0], "--config", str(config), *args[1:]]) == code
-    assert capsys.readouterr().err.startswith(label + ": ")
+    err = capsys.readouterr().err
+    assert err.startswith(label + ": ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_numerical_failure_is_one_stderr_line_in_a_subprocess(tmp_path):
+    # pytest turns warnings into errors; only a separate process shows what a
+    # user sees on stderr
+    root = tmp_path / "data"
+    config, _ = _make_dataset(root)
+    nan_ckpt = _nan_checkpoint(tmp_path, _identity_checkpoint(tmp_path, config))
+    diverging = root / "diverging.txt"
+    diverging.write_text(BASE_CONFIG + "train.lr_init = 1e30\n")
+    restored = tmp_path / "restored.ppm"
+    env = dict(os.environ, PYTHONPATH=str(Path(mirnet_forge.__file__).parents[1]))
+    nan_line = "numerical failure: restored image has non-finite values\n"
+    for args, line in (
+            (["train", "--config", str(diverging), "--out", str(tmp_path / "run")],
+             r"numerical failure: .+ at step 1\n"),
+            (["eval", "--config", str(config), "--checkpoint", str(nan_ckpt)],
+             re.escape(nan_line)),
+            (["infer", "--config", str(config), "--checkpoint", str(nan_ckpt),
+              str(root / "img_0.ppm"), str(restored)], re.escape(nan_line))):
+        proc = subprocess.run([sys.executable, "-m", "mirnet_forge.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == cli.EXIT_NUMERIC, (args[0], proc.stderr)
+        assert re.fullmatch(line, proc.stderr), (args[0], proc.stderr)
+        assert proc.stdout == ""
+    assert not restored.exists()
 
 
 class TestMainEntry:
