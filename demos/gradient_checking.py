@@ -21,8 +21,9 @@ def main():
     print("Running the clean suite (tolerance 1e-4, double precision)...")
     show(run_gradcheck_suite(), "clean build")
 
-    print("\nNow corrupting the DAU backward pass (gradient doubled on its")
-    print("input) and rerunning.  Only the blocks containing a DAU fail:")
+    print("\nNow doubling the gradient of the dau case's input and rerunning.")
+    print("Only the dau row fails: the control corrupts that case's own input,")
+    print("not the DAUs nested in mrb, rrg and network:")
     show(run_gradcheck_suite(corrupt="dau"), "corrupted dau backward")
 
 

@@ -9,8 +9,8 @@ from .data import (DegradationSpec, ImageBuffer, PatchSampler,
                    sample_batch, save_ppm)
 from .metrics import psnr, ssim
 from .optim import Adam, CosineSchedule, charbonnier_loss, cosine_lr
-from .tensor import (ContractError, ShapeError, Tape, Tensor, backward,
-                     grad_check)
+from .tensor import ContractError, ShapeError, Tape, Tensor, backward
+from .verify import grad_check
 
 __all__ = [
     "Adam", "ChannelAttention", "ConcatFusion", "ContractError",

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
 
     p_ablate = sub.add_parser("ablate", help="desk-scale ablation reports")
     p_ablate.add_argument("which", choices=["aggregation", "layout"])
-    p_ablate.add_argument("--config", required=True)
+    p_ablate.add_argument("--config", required=True, help="read by layout only")
     p_ablate.add_argument("--out", required=True)
     p_ablate.add_argument("--train-steps", type=int, default=0)
 
@@ -77,8 +77,17 @@ def main(argv=None) -> int:
                 print("failing blocks: " + ", ".join(failing), file=sys.stderr)
                 return EXIT_VERIFY
             return EXIT_OK
-        if args.command == "ablate" and args.train_steps < 0:
-            raise ConfigError(f"--train-steps must be >= 0, got {args.train_steps}")
+        if args.command == "ablate":
+            if args.train_steps < 0:
+                raise ConfigError(f"--train-steps must be >= 0, got {args.train_steps}")
+            lines = (P.aggregation_report() if args.which == "aggregation"
+                     else P.layout_report(P.load_config(args.config), args.out,
+                                          args.train_steps))
+            print("\n".join(lines))
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{args.which}.txt").write_text("\n".join(lines) + "\n")
+            return EXIT_OK
         cfg = P.load_config(args.config)
         if args.command == "train":
             if args.seed is not None:
@@ -87,16 +96,9 @@ def main(argv=None) -> int:
             P.run_training(cfg, args.out)
         elif args.command == "eval":
             print(P.format_report(P.run_eval(cfg, args.checkpoint, args.manifest)))
-        elif args.command == "infer":
+        else:
             net = P.load_network(cfg, args.checkpoint)
             D.save_ppm(P.restore_image(net, D.load_ppm(args.input)), args.output)
-        else:
-            lines = (P.aggregation_report() if args.which == "aggregation"
-                     else P.layout_report(cfg, args.out, args.train_steps))
-            print("\n".join(lines))
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"{args.which}.txt").write_text("\n".join(lines) + "\n")
         return EXIT_OK
     except Exception as exc:
         for types, code, label in EXIT_TABLE:

@@ -12,8 +12,6 @@ precision for finite-difference gradient checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -444,93 +442,3 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
         return (_upsample2x_adjoint(_upsample2x_adjoint(g, 2), 3),)
 
     return _record([x], out, back)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    max_abs_err: float
-    max_rel_err: float
-    passed: bool
-
-
-def grad_check(f, wrt: Tensor | list[Tensor], step: float = 1e-5,
-               tolerance: float = 1e-4, max_coords: int | None = None, seed: int = 0,
-               fallbacks: list[tuple[float, int]] | None = None) -> GradCheckReport:
-    """Compare analytic gradients of scalar-valued f against central differences.
-
-    `f` is called with no arguments and must close over the tensors in `wrt`.
-    Relative error uses denominator max(|analytic|, |numeric|, 1e-8).  With
-    `max_coords`, a deterministic random subset of coordinates is checked for
-    each tensor (full coverage otherwise).  The primary stencil is the
-    2-point central difference.
-
-    No single step suits every coordinate of a deep composition: wide steps
-    cross activation kinks, narrow steps drown near-zero gradients in float64
-    roundoff.  `fallbacks` lists extra (step, order) stencils, order 2 or the
-    4th-order 5-point stencil, tried only for coordinates that fail at the
-    primary step; a coordinate's error is the minimum over stencils.  A wrong
-    backward rule disagrees with every stencil, so this does not mask real
-    gradient bugs.
-    """
-    for _, o in fallbacks or []:
-        if o not in (2, 4):
-            raise ContractError("order must be 2 or 4")
-    tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
-    for t in tensors:
-        t.requires_grad = True
-        t.grad = None
-    with Tape() as tape:
-        out = f()
-    if out.data.size != 1:
-        raise ContractError("grad_check requires a scalar-valued function")
-    backward(tape, out)
-
-    rng = np.random.default_rng(seed)
-    max_abs = 0.0
-    max_rel = 0.0
-    for t in tensors:
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        size = t.data.size
-        if max_coords is not None and size > max_coords:
-            idx = rng.choice(size, size=max_coords, replace=False)
-        else:
-            idx = range(size)
-        flat = t.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in idx:
-            orig = flat[i]
-
-            def at(offset):
-                flat[i] = orig + offset
-                return f().item()
-
-            def quotient(h, o):
-                if o == 2:
-                    num = (at(h) - at(-h)) / (2.0 * h)
-                else:
-                    num = (-at(2 * h) + 8.0 * at(h)
-                           - 8.0 * at(-h) + at(-2 * h)) / (12.0 * h)
-                flat[i] = orig
-                return num
-
-            a = float(aflat[i])
-
-            def errors(num):
-                abs_err = abs(a - num)
-                return abs_err, abs_err / max(abs(a), abs(num), 1e-8)
-
-            abs_err, rel_err = errors(quotient(step, 2))
-            if rel_err > tolerance and fallbacks:
-                for h, o in fallbacks:
-                    fa, fr = errors(quotient(h, o))
-                    if fr < rel_err:
-                        abs_err, rel_err = fa, fr
-                    if rel_err <= tolerance:
-                        break
-            max_abs = max(max_abs, abs_err)
-            max_rel = max(max_rel, rel_err)
-    return GradCheckReport(max_abs, max_rel, max_rel <= tolerance)

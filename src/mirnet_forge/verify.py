@@ -1,31 +1,119 @@
-"""Finite-difference verification suite covering every differentiable block.
+"""Finite-difference gradient checks and the suite covering every block.
 
-All checks run in double precision on small shapes (extents <= 8) and compare
-analytic gradients against central differences with step 1e-5.  Large blocks
-check every input coordinate plus a deterministic subsample of each parameter
+All suite checks run in double precision on small shapes (extents <= 8) and
+compare analytic gradients against central differences.  Large blocks check
+every input coordinate plus a deterministic subsample of each parameter
 tensor's coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import blocks as B
 from . import optim as O
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ContractError, Tape, Tensor, backward
 
+TOLERANCE = 1e-4
 STEP = 1e-5
+DEEP_STEP = 1e-4
+# Deep composites need per-coordinate stencil fallbacks; see grad_check.
+DEEP_FALLBACKS = [(1e-5, 2), (3e-4, 4), (3e-5, 2), (1e-4, 4), (1e-6, 2), (3e-6, 2)]
 SEED = 0
 
 
 @dataclass
-class BlockReport:
-    name: str
+class GradCheckReport:
+    max_abs_err: float
     max_rel_err: float
     passed: bool
+    name: str = ""
+
+
+def grad_check(f, wrt: Tensor | list[Tensor], step: float = STEP,
+               max_coords: int | None = None, seed: int = 0,
+               fallbacks: list[tuple[float, int]] | None = None) -> GradCheckReport:
+    """Compare analytic gradients of scalar-valued f against central differences.
+
+    `f` is called with no arguments and must close over the tensors in `wrt`.
+    Relative error uses denominator max(|analytic|, |numeric|, 1e-8) and
+    passes at TOLERANCE.  With `max_coords`, a deterministic random subset of
+    coordinates is checked for each tensor (full coverage otherwise).  The
+    primary stencil is the 2-point central difference.
+
+    No single step suits every coordinate of a deep composition: wide steps
+    cross activation kinks, narrow steps drown near-zero gradients in float64
+    roundoff.  `fallbacks` lists extra (step, order) stencils, order 2 or the
+    4th-order 5-point stencil, tried only for coordinates that fail at the
+    primary step; a coordinate's error is the minimum over stencils.  A wrong
+    backward rule disagrees with every stencil, so this does not mask real
+    gradient bugs.
+    """
+    if max_coords is not None and max_coords < 1:
+        raise ContractError(f"max_coords must be >= 1, got {max_coords}")
+    for h, o in [(step, 2), *(fallbacks or [])]:
+        if o not in (2, 4):
+            raise ContractError("order must be 2 or 4")
+        if not h > 0:
+            raise ContractError(f"step must be positive, got {h}")
+    tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
+    for t in tensors:
+        t.requires_grad = True
+        t.grad = None
+    with Tape() as tape:
+        out = f()
+    if out.data.size != 1:
+        raise ContractError("grad_check requires a scalar-valued function")
+    backward(tape, out)
+
+    rng = np.random.default_rng(seed)
+    max_abs = 0.0
+    max_rel = 0.0
+    for t in tensors:
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        size = t.data.size
+        if max_coords is not None and size > max_coords:
+            idx = rng.choice(size, size=max_coords, replace=False)
+        else:
+            idx = range(size)
+        flat = t.data.reshape(-1)
+        aflat = analytic.reshape(-1)
+        for i in idx:
+            orig = flat[i]
+
+            def at(offset):
+                flat[i] = orig + offset
+                return f().item()
+
+            def quotient(h, o):
+                if o == 2:
+                    num = (at(h) - at(-h)) / (2.0 * h)
+                else:
+                    num = (-at(2 * h) + 8.0 * at(h)
+                           - 8.0 * at(-h) + at(-2 * h)) / (12.0 * h)
+                flat[i] = orig
+                return num
+
+            a = float(aflat[i])
+
+            def errors(num):
+                abs_err = abs(a - num)
+                return abs_err, abs_err / max(abs(a), abs(num), 1e-8)
+
+            abs_err, rel_err = errors(quotient(step, 2))
+            for h, o in fallbacks or []:
+                if rel_err <= TOLERANCE:
+                    break
+                fa, fr = errors(quotient(h, o))
+                if fr < rel_err:
+                    abs_err, rel_err = fa, fr
+            # np.maximum keeps a NaN error, which must fail the check
+            max_abs = float(np.maximum(max_abs, abs_err))
+            max_rel = float(np.maximum(max_rel, rel_err))
+    return GradCheckReport(max_abs, max_rel, max_rel <= TOLERANCE)
 
 
 def _broken_scale(x: Tensor) -> Tensor:
@@ -34,7 +122,10 @@ def _broken_scale(x: Tensor) -> Tensor:
     return T._record([x], x.data.copy(), lambda g: (2.0 * g,))
 
 
-def _suite(corrupt: str | None):
+def _suite():
+    """The cases in run order, as (name, make, max_coords); `make()` draws
+    the tensors and returns (g, wrt), g(x) being the scalar loss with x in
+    place of the input wrt[0].  Cases with `max_coords` are deep composites."""
     rng = np.random.default_rng(SEED)
     f64 = np.float64
 
@@ -43,77 +134,72 @@ def _suite(corrupt: str | None):
 
     entries = []
 
-    def block(name, make, max_coords=None, deep=False):
-        hook = _broken_scale if corrupt == name else (lambda x: x)
-        entries.append((name, make, hook, max_coords, deep))
+    def block(name, make, max_coords=None):
+        entries.append((name, make, max_coords))
 
-    def conv_case(hook):
+    def conv_case():
         x, w, b = t(1, 3, 5, 5), t(4, 3, 3, 3, scale=0.5), t(4)
-        return (lambda: T.tmean(T.sigmoid(T.conv2d(hook(x), w, b)))), [x, w, b]
+        return (lambda x: T.tmean(T.sigmoid(T.conv2d(x, w, b)))), [x, w, b]
     block("conv", conv_case)
 
-    def prelu_case(hook):
+    def prelu_case():
         x = t(1, 4, 5, 5)
         s = Tensor(np.full(4, 0.25, dtype=f64))
-        return (lambda: T.tmean(T.sigmoid(T.prelu(hook(x), s)))), [x, s]
+        return (lambda x: T.tmean(T.sigmoid(T.prelu(x, s)))), [x, s]
     block("prelu", prelu_case)
 
     def unary_case(op):
-        def make(hook):
-            x = t(2, 3, 4, 4)
-            return (lambda: T.tmean(T.sigmoid(op(hook(x))))), [x]
+        def make():
+            return (lambda x: T.tmean(T.sigmoid(op(x)))), [t(2, 3, 4, 4)]
         return make
     block("sigmoid", unary_case(T.sigmoid))
     block("gap", unary_case(T.global_avg_pool))
     block("channel_pool", unary_case(T.channel_pool))
     block("bilinear_up", unary_case(T.bilinear_upsample2x))
 
-    def softmax_case(hook):
+    def softmax_case():
         vs = [t(2, 4, 1, 1) for _ in range(3)]
 
-        def f():
-            outs = T.branch_softmax([hook(vs[0])] + vs[1:])
+        def g(v):
+            outs = T.branch_softmax([v] + vs[1:])
             acc = T.mul(outs[0], outs[0])
             for o in outs[1:]:
                 acc = T.add(acc, T.mul(o, o))
             return T.tmean(acc)
-        return f, vs
+        return g, vs
     block("branch_softmax", softmax_case)
 
-    def skff_case(hook):
+    def skff_case():
         m = B.init_weights(B.SKFF(8, 3), SEED + 1, f64)
         xs = [t(1, 8, 4, 4) for _ in range(3)]
-        f = lambda: T.tmean(T.sigmoid(m([hook(xs[0])] + xs[1:])))
-        return f, xs + list(m.named_parameters().values())
-    block("skff", skff_case, 30, deep=True)
+        g = lambda x: T.tmean(T.sigmoid(m([x] + xs[1:])))
+        return g, xs + list(m.named_parameters().values())
+    block("skff", skff_case, 30)
 
     def module_case(build, shape):
-        def make(hook):
+        def make():
             m = B.init_weights(build(), SEED + 1, f64)
             x = t(*shape)
-            f = lambda: T.tmean(T.sigmoid(m(hook(x))))
-            return f, [x] + list(m.named_parameters().values())
+            g = lambda x: T.tmean(T.sigmoid(m(x)))
+            return g, [x] + list(m.named_parameters().values())
         return make
 
-    block("ca", module_case(lambda: B.ChannelAttention(8), (1, 8, 4, 4)), 30, deep=True)
-    block("sa", module_case(B.SpatialAttention, (1, 8, 6, 6)), 30, deep=True)
-    block("dau", module_case(lambda: B.DAU(8), (1, 8, 5, 5)), 20, deep=True)
-    block("resize_down", module_case(lambda: B.ResizeDown(4), (1, 4, 6, 6)), 25, deep=True)
-    block("resize_up", module_case(lambda: B.ResizeUp(4), (1, 4, 3, 3)), 25, deep=True)
+    block("ca", module_case(lambda: B.ChannelAttention(8), (1, 8, 4, 4)), 30)
+    block("sa", module_case(B.SpatialAttention, (1, 8, 6, 6)), 30)
+    block("dau", module_case(lambda: B.DAU(8), (1, 8, 5, 5)), 20)
+    block("resize_down", module_case(lambda: B.ResizeDown(4), (1, 4, 6, 6)), 25)
+    block("resize_up", module_case(lambda: B.ResizeUp(4), (1, 4, 3, 3)), 25)
 
     small = B.NetworkConfig(n_rrg=1, mrb_per_rrg=1, n_streams=2, n_columns=1,
                             base_channels=8)
-    # Deep composites need per-coordinate step fallbacks: wide steps cross
-    # activation kinks, narrow steps drown near-zero gradients in roundoff.
-    block("mrb", module_case(lambda: B.MRB(small), (1, 8, 4, 4)), 10, deep=True)
-    block("rrg", module_case(lambda: B.RRG(small), (1, 8, 4, 4)), 10, deep=True)
-    block("network", module_case(lambda: B.MIRNet(small, seed=None), (1, 3, 4, 4)),
-          10, deep=True)
+    block("mrb", module_case(lambda: B.MRB(small), (1, 8, 4, 4)), 10)
+    block("rrg", module_case(lambda: B.RRG(small), (1, 8, 4, 4)), 10)
+    block("network", module_case(lambda: B.MIRNet(small, seed=None), (1, 3, 4, 4)), 10)
 
     def charbonnier_case(mode):
-        def make(hook):
+        def make():
             pred, target = t(1, 3, 4, 4), t(1, 3, 4, 4)
-            return (lambda: O.charbonnier_loss(hook(pred), target, mode)), [pred, target]
+            return (lambda p: O.charbonnier_loss(p, target, mode)), [pred, target]
         return make
     block("charbonnier_mean", charbonnier_case("per_pixel_mean"))
     block("charbonnier_norm", charbonnier_case("global_norm"))
@@ -121,19 +207,20 @@ def _suite(corrupt: str | None):
     return entries
 
 
-def run_gradcheck_suite(corrupt: str | None = None) -> list[BlockReport]:
+def run_gradcheck_suite(corrupt: str | None = None) -> list[GradCheckReport]:
     """Run the per-block finite-difference suite.
 
-    `corrupt` routes the named block's input through an identity op with a
+    `corrupt` routes the named case's input through an identity op with a
     doubled backward rule, as a negative control.
     """
     reports = []
-    for name, make, hook, max_coords, deep in _suite(corrupt):
-        f, wrt = make(hook)
-        rep = T.grad_check(
-            f, wrt, step=1e-4 if deep else STEP, max_coords=max_coords,
-            seed=len(name),
-            fallbacks=[(1e-5, 2), (3e-4, 4), (3e-5, 2), (1e-4, 4),
-                       (1e-6, 2), (3e-6, 2)] if deep else None)
-        reports.append(BlockReport(name, rep.max_rel_err, rep.passed))
+    for name, make, max_coords in _suite():
+        g, wrt = make()
+        x = wrt[0]
+        f = (lambda: g(_broken_scale(x))) if name == corrupt else (lambda: g(x))
+        deep = max_coords is not None
+        rep = grad_check(f, wrt, step=DEEP_STEP if deep else STEP,
+                         max_coords=max_coords, seed=len(name),
+                         fallbacks=DEEP_FALLBACKS if deep else None)
+        reports.append(replace(rep, name=name))
     return reports

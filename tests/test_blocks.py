@@ -20,6 +20,8 @@ from mirnet_forge.checkpoint import save_checkpoint
 from mirnet_forge.config import RunConfig
 from mirnet_forge.pipeline import aggregation_report
 from mirnet_forge.tensor import ContractError, ShapeError, Tensor
+from mirnet_forge.verify import (DEEP_FALLBACKS, DEEP_STEP, _broken_scale,
+                                 grad_check)
 
 from oracles import (blur_pool_loops, channel_pool_loops, conv2d_loops,
                      sigmoid_loops)
@@ -368,6 +370,21 @@ class TestMRB:
     def test_param_count_formula(self, streams, cols):
         cfg = _small_cfg(n_streams=streams, n_columns=cols)
         assert count_parameters(MRB(cfg))[1] == _mrb_n(cfg)
+
+    def test_deep_check_catches_wrong_backward_nested_in_dau(self, monkeypatch):
+        # the fallback stencils must not mask a gradient bug inside a composite
+        def check():
+            mrb = init_weights(MRB(_small_cfg()), 1, np.float64)
+            x = Tensor(RNG(6).normal(size=(1, 8, 4, 4)))
+            return grad_check(lambda: T.tmean(T.sigmoid(mrb(x))), x,
+                              step=DEEP_STEP, max_coords=10,
+                              fallbacks=DEEP_FALLBACKS)
+
+        assert check().passed
+        dau_call = DAU.__call__
+        monkeypatch.setattr(DAU, "__call__",
+                            lambda self, x: dau_call(self, _broken_scale(x)))
+        assert not check().passed
 
 
 class TestRRGAndNetwork:

@@ -338,6 +338,17 @@ class TestAblateCommand:
         assert "skff\t2049" in text
         assert f"concat_to_skff_ratio\t{12288 / 2049:.3f}" in text
 
+    def test_aggregation_ignores_config(self, tmp_path, capsys):
+        # the report does not depend on the config, so it is never read
+        config, _ = _make_dataset(tmp_path / "data")
+        reports = []
+        for name, path in [("valid", config), ("missing", tmp_path / "absent.json")]:
+            out = tmp_path / name
+            assert cli.main(["ablate", "aggregation", "--config", str(path),
+                             "--out", str(out)]) == cli.EXIT_OK
+            reports.append((out / "aggregation.txt").read_text())
+        assert reports[0] == reports[1]
+
     def test_layout_grid(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "ablate"

@@ -7,6 +7,7 @@ import pytest
 from mirnet_forge import tensor as T
 from mirnet_forge.blocks import blur_pool
 from mirnet_forge.tensor import ContractError, ShapeError, Tape, Tensor
+from mirnet_forge.verify import grad_check
 
 from oracles import (channel_pool_loops, conv2d_loops, sigmoid_loops,
                      upsample2x_loops)
@@ -94,7 +95,7 @@ class TestConv2d:
         x = randt((2, 3, 6, 7), seed=34)
         w = randt((4, 3) + kernel, seed=35)
         b = randt((4,), seed=36)
-        rep = T.grad_check(lambda: T.tsum(T.sigmoid(T.conv2d(x, w, b))), [x, w, b])
+        rep = grad_check(lambda: T.tsum(T.sigmoid(T.conv2d(x, w, b))), [x, w, b])
         assert rep.passed, rep
 
     @pytest.mark.parametrize("xshape, wshape", [
@@ -151,7 +152,7 @@ class TestPrelu:
         # d out / d slope on input -2 is -2.
         x = Tensor(np.full((1, 1, 1, 1), -2.0))
         slope = Tensor(np.array([0.25]))
-        rep = T.grad_check(lambda: T.tsum(T.prelu(x, slope)), slope)
+        rep = grad_check(lambda: T.tsum(T.prelu(x, slope)), slope)
         assert rep.passed
         assert slope.grad[0] == pytest.approx(-2.0, abs=1e-7)
 
@@ -374,7 +375,7 @@ class TestBackward:
         w1 = randt((2, 3, 1, 1), seed=26)
         b1 = randt((2,), seed=27)
         f = lambda: T.tsum(T.sigmoid(T.conv2d(T.conv2d(x, w, b), w1, b1)))
-        rep = T.grad_check(f, [x, w, b, w1, b1], step=1e-5, tolerance=1e-4)
+        rep = grad_check(f, [x, w, b, w1, b1])
         assert rep.passed, rep
 
 
@@ -386,31 +387,31 @@ class TestBackward:
 @pytest.mark.parametrize("seed", range(3))
 def test_op_gradients_small_shapes(op, seed):
     x = randt((1, 3, 5, 6), seed=seed)
-    rep = T.grad_check(lambda: T.tsum(T.sigmoid(op(x))), x,
-                       step=1e-5, tolerance=1e-4)
+    rep = grad_check(lambda: T.tsum(T.sigmoid(op(x))), x)
     assert rep.passed, rep
 
 
 class TestGradCheck:
     def test_linear_function_exact(self):
         x = randt((1, 2, 3, 3), seed=22)
-        rep = T.grad_check(lambda: T.tsum(x), x)
+        rep = grad_check(lambda: T.tsum(x), x)
         assert rep.passed
         assert rep.max_abs_err < 1e-10
 
     def test_corrupted_backward_fails(self):
         x = randt((1, 1, 3, 3), seed=23)
+        for rule in (lambda g: 2.0 * g, lambda g: g * np.nan):
 
-        def doubled_grad(t):
-            return T._record([t], t.data.copy(), lambda g: (2.0 * g,))
+            def corrupted_grad(t):
+                return T._record([t], t.data.copy(), lambda g: (rule(g),))
 
-        rep = T.grad_check(lambda: T.tsum(T.sigmoid(doubled_grad(x))), x)
-        assert not rep.passed
+            rep = grad_check(lambda: T.tsum(T.sigmoid(corrupted_grad(x))), x)
+            assert not rep.passed, rep
 
     def test_non_scalar_rejected(self):
         x = randt((1, 1, 2, 2))
         with pytest.raises(ContractError):
-            T.grad_check(lambda: T.sigmoid(x), x)
+            grad_check(lambda: T.sigmoid(x), x)
 
     def test_bad_stencil_order_rejected_before_f_runs(self):
         calls = []
@@ -420,8 +421,16 @@ class TestGradCheck:
             return T.tsum(x)
 
         x = randt((1, 1, 2, 2))
-        with pytest.raises(ContractError, match="order must be 2 or 4"):
-            T.grad_check(f, x, fallbacks=[(1e-4, 4), (1e-4, 3)])
+        for kwargs, message in [
+                (dict(fallbacks=[(1e-4, 4), (1e-4, 3)]), "order must be 2 or 4"),
+                (dict(max_coords=0), "max_coords must be >= 1"),
+                (dict(max_coords=-1), "max_coords must be >= 1"),
+                (dict(step=0.0), "step must be positive"),
+                (dict(step=-1e-5), "step must be positive"),
+                (dict(step=float("nan")), "step must be positive"),
+                (dict(fallbacks=[(1e-4, 4), (0.0, 2)]), "step must be positive")]:
+            with pytest.raises(ContractError, match=message):
+                grad_check(f, x, **kwargs)
         assert calls == []
 
 
