@@ -244,7 +244,10 @@ class ResizeDown(Module):
 
 
 class ResizeUp(Module):
-    """Residual 2x upsampling: doubles H and W, halves channels (bilinear)."""
+    """Residual 2x upsampling: doubles H and W, halves channels (bilinear).
+    Upsampling once, last, is the paper's order (upsample first) exactly in real
+    arithmetic: each output is a per-channel blend of inputs with weights summing
+    to 1, edges included, so the 1x1 convs, their biases and the add commute with it."""
 
     def __init__(self, channels):
         if channels % 2:
@@ -256,8 +259,8 @@ class ResizeUp(Module):
         self.skip = Conv2d(channels, channels // 2, 1)
 
     def __call__(self, x):
-        main = self.conv3(T.bilinear_upsample2x(self.conv2(self.act(self.conv1(x)))))
-        return T.add(main, self.skip(T.bilinear_upsample2x(x)))
+        main = self.conv3(self.conv2(self.act(self.conv1(x))))
+        return T.bilinear_upsample2x(T.add(main, self.skip(x)))
 
 
 class ResizeChain(Module):

@@ -196,10 +196,13 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
         raise ShapeError(
             f"slope length {slope.data.shape} incompatible with {c} channels")
     s = slope.data.reshape(1, -1, 1, 1)
-    neg = x.data < 0
-    out = np.where(neg, s * x.data, x.data)
+    # min(x, 0) * s + max(x, 0): no broadcast `where`, and no mask on the tape
+    out = np.minimum(x.data, 0, dtype=np.result_type(x.data, s))
+    out *= s
+    out += np.maximum(x.data, 0)
 
     def back(g):
+        neg = x.data < 0
         gx = np.where(neg, s * g, g)
         gs_full = np.where(neg, g * x.data, 0.0)
         if slope.data.shape[0] == 1:
@@ -246,8 +249,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
     out = np.matmul(weight.data.reshape(cout, -1), _im2col(x.data, kh, kw))
-    if bias is not None:
-        out = out + bias.data[None, :, None]
+    if bias is not None:  # in place unless the bias widens the result dtype
+        b = bias.data[None, :, None]
+        out = np.add(out, b, out=out if np.result_type(out, b) == out.dtype else None)
     out = out.reshape(n, cout, h, w)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
@@ -302,15 +306,12 @@ def channel_pool(x: Tensor) -> Tensor:
     """Per-position mean and max over channels, stacked as a 2-channel map."""
     n, c, h, w = _nchw(x)
     mean = x.data.mean(axis=1, keepdims=True)
-    amax = x.data.argmax(axis=1)
-    mx = np.take_along_axis(x.data, amax[:, None], axis=1)
-    out = np.concatenate([mean, mx], axis=1)
+    out = np.concatenate([mean, x.data.max(axis=1, keepdims=True)], axis=1)
 
     def back(g):
+        amax = x.data.argmax(axis=1)[:, None]
         gx = np.broadcast_to(g[:, 0:1] / c, x.data.shape).astype(x.data.dtype, copy=True)
-        np.put_along_axis(
-            gx, amax[:, None],
-            np.take_along_axis(gx, amax[:, None], axis=1) + g[:, 1:2], axis=1)
+        np.put_along_axis(gx, amax, np.take_along_axis(gx, amax, axis=1) + g[:, 1:2], axis=1)
         return (gx,)
 
     return _record([x], out, back)

@@ -24,7 +24,7 @@ from mirnet_forge.verify import (DEEP_FALLBACKS, DEEP_STEP, _broken_scale,
                                  grad_check)
 
 from oracles import (blur_pool_loops, channel_pool_loops, conv2d_loops,
-                     sigmoid_loops)
+                     sigmoid_loops, upsample2x_loops)
 
 RNG = np.random.default_rng
 
@@ -322,6 +322,26 @@ class TestResize:
         chain = ResizeChain(1, 1, 8)
         x = Tensor(RNG(5).normal(size=(1, 16, 4, 4)).astype(np.float32))
         assert chain(x) is x
+
+    @pytest.mark.parametrize("extent", [(1, 1), (3, 5), (4, 4)])
+    def test_up_equals_upsample_first_order(self, extent):
+        # ResizeUp upsamples last; the paper's order upsamples first and runs
+        # conv3 and skip at the output scale.  Non-zero biases and slopes
+        # exercise the bias commutation that zero-initialised biases hide.
+        ru = init_weights(ResizeUp(4), 7, np.float64)
+        rng = RNG(8)
+        for conv in (ru.conv1, ru.conv2, ru.conv3, ru.skip):
+            conv.bias.data = rng.normal(0, 1, conv.bias.data.shape)
+        ru.act.slope.data = rng.uniform(-0.5, 2.0, 4)
+        x = Tensor(rng.normal(0, 1, (2, 4) + extent))
+        h = ru.conv2(ru.act(ru.conv1(x)))
+        main = ru.conv3(Tensor(upsample2x_loops(h.data)))
+        paper = main.data + ru.skip(Tensor(upsample2x_loops(x.data))).data
+        np.testing.assert_allclose(ru(x).data, paper, rtol=0, atol=1e-12)
+
+        probe = Tensor(rng.normal(0, 1, paper.shape))
+        rep = grad_check(lambda: T.tsum(T.mul(ru(x), probe)), [x, ru.conv3.bias])
+        assert rep.passed, rep
 
     @pytest.mark.parametrize("c", [8, 16])
     def test_param_counts(self, c):

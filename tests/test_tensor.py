@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import weakref
 
@@ -136,6 +137,30 @@ class TestConv2d:
         assert grads[0].dtype == np.float64
         np.testing.assert_array_equal(grads[0], grads[1])
 
+    @pytest.mark.parametrize("xd", [np.float32, np.float64])
+    @pytest.mark.parametrize("wd", [np.float32, np.float64])
+    @pytest.mark.parametrize("bd", [np.float32, np.float64])
+    def test_bias_add_keeps_result_dtype(self, xd, wd, bd):
+        # the bias is added in place only when that cannot narrow the result:
+        # float32 only when input, weight and bias all are
+        x = randt((2, 3, 5, 4), seed=40, dtype=xd)
+        w = randt((4, 3, 3, 3), seed=41, dtype=wd)
+        b = randt((4,), seed=42, dtype=bd)
+        out = T.conv2d(x, w, b).data
+        assert out.dtype == (np.float32 if xd == wd == bd == np.float32 else np.float64)
+        # the bias-free product, then a separate broadcast add
+        np.testing.assert_array_equal(out, T.conv2d(x, w).data + b.data[None, :, None, None])
+
+
+def _prelu_specials(dtype, channels):
+    """Rows of +-0, +-subnormals, +-inf, NaN and ordinary values, one row per
+    channel, two samples (the second negated)."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    row = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
+                    np.inf, -np.inf, np.nan, 1.5, -2.0], dtype)
+    x = np.broadcast_to(row, (channels, row.size))[None, :, None, :]
+    return np.concatenate([x, -x])
+
 
 class TestPrelu:
     def test_negative_branch(self):
@@ -159,6 +184,39 @@ class TestPrelu:
     def test_slope_length_mismatch(self):
         with pytest.raises(ShapeError):
             T.prelu(randt((1, 3, 2, 2)), Tensor(np.array([0.1, 0.2])))
+
+    @pytest.mark.parametrize("slope", [[0.0], [0.25], [-0.5], [2.0], [0.0, 0.25, -0.5, 2.0]],
+                             ids=["0", "0.25", "-0.5", "2", "per_channel"])
+    @pytest.mark.parametrize("xd", [np.float32, np.float64])
+    @pytest.mark.parametrize("sd", [np.float32, np.float64])
+    def test_matches_where_on_special_values(self, slope, xd, sd):
+        # out, x.grad and slope.grad equal np.where(x < 0, s * x, x) and its
+        # gradients in value and dtype; only the sign of a zero may differ
+        x = _prelu_specials(xd, 4)
+        s = np.array(slope, sd)
+        sb = s.reshape(1, -1, 1, 1)
+        with np.errstate(invalid="ignore"):  # the oracle's own 0 * inf
+            want = np.where(x < 0, sb * x, x)
+        xt, st = Tensor(x, requires_grad=True), Tensor(s, requires_grad=True)
+        # a zero slope meets -inf in the forward (NaN, as at 0 * -inf)
+        warns = (pytest.warns(RuntimeWarning, match="invalid value") if 0.0 in slope
+                 else contextlib.nullcontext())
+        with warns, Tape() as tape:
+            out = T.prelu(xt, st)
+        assert out.data.dtype == want.dtype
+        np.testing.assert_array_equal(out.data, want)
+
+        g = np.random.default_rng(43).uniform(0.5, 1.5, x.shape).astype(want.dtype)
+        (_, _, back), = tape.nodes
+        gx, gs = back(g)
+        neg = x < 0
+        want_gx = np.where(neg, sb * g, g)
+        want_gs_full = np.where(neg, g * x, 0.0)
+        want_gs = (np.asarray([want_gs_full.sum()], sd) if s.size == 1
+                   else want_gs_full.sum(axis=(0, 2, 3)))
+        for got, exp in ((gx, want_gx), (gs, want_gs)):
+            assert got.dtype == exp.dtype
+            np.testing.assert_array_equal(got, exp)
 
 
 class TestSigmoid:
@@ -222,6 +280,26 @@ class TestChannelPool:
         np.testing.assert_allclose(
             T.channel_pool(x).data, channel_pool_loops(x.data),
             rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels, first_max", [
+        ([3.0, 3.0, 1.0], 0), ([1.0, np.nan, 5.0, np.nan], 1)], ids=["tie", "nan"])
+    def test_max_gradient_goes_to_first_maximum(self, dtype, channels, first_max):
+        # ties route the max plane's gradient to the first maximum; a NaN
+        # channel makes the max NaN and takes the gradient at its first NaN
+        c = len(channels)
+        x = Tensor(np.array(channels, dtype).reshape(1, c, 1, 1), requires_grad=True)
+        g = Tensor(np.array([2.0, 5.0], dtype).reshape(1, 2, 1, 1))
+        with Tape() as tape:
+            out = T.channel_pool(x)
+            loss = T.tsum(T.mul(out, g))
+        T.backward(tape, loss)
+        mx = out.data[0, 1, 0, 0]
+        assert np.isnan(mx) if np.isnan(channels).any() else mx == max(channels)
+        want = np.full(c, dtype(2.0) / c, dtype)
+        want[first_max] += dtype(5.0)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad.reshape(-1), want)
 
 
 class TestBranchSoftmax:
