@@ -198,7 +198,7 @@ class TestPrelu:
         with np.errstate(invalid="ignore"):  # the oracle's own 0 * inf
             want = np.where(x < 0, sb * x, x)
         xt, st = Tensor(x, requires_grad=True), Tensor(s, requires_grad=True)
-        # a zero slope meets -inf in the forward (NaN, as at 0 * -inf)
+        # a zero slope times -inf is NaN, which numpy reports as an invalid value
         warns = (pytest.warns(RuntimeWarning, match="invalid value") if 0.0 in slope
                  else contextlib.nullcontext())
         with warns, Tape() as tape:
