@@ -208,7 +208,7 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
         if slope.data.shape[0] == 1:
             gs = np.asarray([gs_full.sum()], dtype=slope.data.dtype)
         else:
-            gs = gs_full.sum(axis=(0, 2, 3))
+            gs = gs_full.sum(axis=(0, 2, 3)).astype(slope.data.dtype, copy=False)
         return gx, gs
 
     return _record([x, slope], out, back)
@@ -233,6 +233,43 @@ def _im2col(xd, kh, kw):
     return cols.copy().reshape(n, c * kh * kw, h * w)
 
 
+# A k x k forward runs from row taps instead of im2col columns when the
+# columns would exceed COLUMN_BYTES (they spill out of cache) and the batch's
+# plane has at least PLANE_PER_COUT positions per output channel (the weight
+# reorder and the accumulation passes stay small next to the column writes
+# saved).  Both come from the crossover table in CHANGES.md.
+COLUMN_BYTES = 4 << 20
+PLANE_PER_COUT = 5
+
+
+def _conv_row_taps(xd, wd):
+    """im2col's product from row taps: a buffer (N, kw*C, H*W) holding the
+    input once per horizontal kernel tap, shifted and zero-bordered (kw times
+    the input, where the columns are kh*kw times), then one GEMM per kernel
+    row on a view of the buffer shifted by whole rows, with no copy.  The
+    centre row's GEMM writes the output; each other's adds into the output
+    rows it reaches."""
+    n, c, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    taps = np.empty((n, kw, c, h, w), xd.dtype)
+    for dx in range(kw):
+        s = dx - kw // 2
+        lo = min(w, max(0, -s))
+        hi = max(lo, min(w, w - s))
+        taps[:, dx, ..., :lo] = 0
+        taps[:, dx, ..., hi:] = 0
+        taps[:, dx, ..., lo:hi] = xd[..., lo + s:hi + s]
+    taps = taps.reshape(n, kw * c, h * w)
+    rows = wd.transpose(2, 0, 3, 1).reshape(kh, cout, kw * c)
+    out = np.matmul(rows[kh // 2], taps)
+    for ky in range(kh):
+        dy = ky - kh // 2
+        lo, hi = max(0, -dy), min(h, h - dy)
+        if dy and lo < hi:
+            out[..., lo * w:hi * w] += np.matmul(rows[ky], taps[..., (lo + dy) * w:(hi + dy) * w])
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation at stride 1, zero-padded by half the (odd) kernel
     so the output keeps the input's extent (deep-learning convention).
@@ -248,7 +285,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
-    out = np.matmul(weight.data.reshape(cout, -1), _im2col(x.data, kh, kw))
+    if (kh * kw > 1 and n * h * w >= PLANE_PER_COUT * cout
+            and n * kh * kw * cin * h * w * x.data.itemsize > COLUMN_BYTES):
+        out = _conv_row_taps(x.data, weight.data)
+    else:
+        out = np.matmul(weight.data.reshape(cout, -1), _im2col(x.data, kh, kw))
     if bias is not None:  # in place unless the bias widens the result dtype
         b = bias.data[None, :, None]
         out = np.add(out, b, out=out if np.result_type(out, b) == out.dtype else None)

@@ -152,6 +152,72 @@ class TestConv2d:
         np.testing.assert_array_equal(out, T.conv2d(x, w).data + b.data[None, :, None, None])
 
 
+# float64 3x3 shapes (n, cin, h, w, cout) beside both row-tap constants: the
+# columns' bytes (72 * cin * h * w) straddle COLUMN_BYTES at 16 channels of
+# 64 x w, and a PLANE_PER_COUT x 51 plane is exactly PLANE_PER_COUT * cout
+# positions at cout = 51, one output channel short at cout = 52
+_EDGE_W = T.COLUMN_BYTES // (72 * 16 * 64)
+_ROUTES = {"columns_below": ((1, 16, 64, _EDGE_W, 4), False),
+           "columns_above": ((1, 16, 64, _EDGE_W + 1, 4), True),
+           "plane_at_threshold": ((1, 256, T.PLANE_PER_COUT, 51, 51), True),
+           "plane_below": ((1, 256, T.PLANE_PER_COUT, 51, 52), False)}
+
+
+class TestRowTaps:
+    @pytest.mark.parametrize("kernel", [3, 5], ids=["3x3", "5x5"])
+    @pytest.mark.parametrize("plane", [(7, 6), (1, 1), (1, 5), (5, 1)],
+                             ids=["7x6", "1x1", "1x5", "5x1"])
+    def test_matches_loop_oracle(self, plane, kernel):
+        # extents at or below the kernel's reach leave whole taps and kernel
+        # rows outside the plane
+        x = randt((2, 3) + plane, seed=50).data
+        w = randt((4, 3, kernel, kernel), seed=51).data
+        out = T._conv_row_taps(x, w).reshape((2, 4) + plane)
+        np.testing.assert_allclose(out, conv2d_loops(x, w, None, 1, kernel // 2),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", list(_ROUTES))
+    def test_route_follows_both_constants(self, case, monkeypatch):
+        (n, cin, h, w, cout), row_taps = _ROUTES[case]
+        assert (72 * n * cin * h * w > T.COLUMN_BYTES) == (case != "columns_below")
+        assert (n * h * w >= T.PLANE_PER_COUT * cout) == (case != "plane_below")
+        calls = []
+        conv_row_taps = T._conv_row_taps
+        monkeypatch.setattr(T, "_conv_row_taps",
+                            lambda xd, wd: calls.append(1) or conv_row_taps(xd, wd))
+        x = randt((n, cin, h, w), seed=52)
+        wt = randt((cout, cin, 3, 3), seed=53)
+        out = T.conv2d(x, wt).data
+        assert bool(calls) == row_taps
+        cols = np.matmul(wt.data.reshape(cout, -1), T._im2col(x.data, 3, 3))
+        np.testing.assert_allclose(out, cols.reshape(out.shape), rtol=0, atol=1e-12)
+
+    def test_gradients_above_threshold(self):
+        # the forward runs from row taps; backward is the im2col one
+        (n, cin, h, w, cout), _ = _ROUTES["columns_above"]
+        x = Tensor(0.1 * randt((n, cin, h, w), seed=54).data)
+        wt = Tensor(0.1 * randt((cout, cin, 3, 3), seed=55).data)
+        b = randt((cout,), seed=56)
+        rep = grad_check(lambda: T.tsum(T.sigmoid(T.conv2d(x, wt, b))), [x, wt, b],
+                         max_coords=12)
+        assert rep.passed, rep
+
+    def test_forward_peak_memory_below_six_inputs(self):
+        # im2col's columns alone are 9x the input; the taps are 3x, plus the
+        # output and one accumulation product
+        x = Tensor(np.random.default_rng(57).normal(0, 1, (1, 64, 64, 64)).astype(np.float32))
+        w = Tensor((0.1 * np.random.default_rng(58).normal(0, 1, (64, 64, 3, 3))).astype(np.float32))
+        b = Tensor(np.zeros(64, np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            T.conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * x.data.nbytes
+
+
 def _prelu_specials(dtype, channels):
     """Rows of +-0, +-subnormals, +-inf, NaN and ordinary values, one row per
     channel, two samples (the second negated)."""
@@ -212,8 +278,9 @@ class TestPrelu:
         neg = x < 0
         want_gx = np.where(neg, sb * g, g)
         want_gs_full = np.where(neg, g * x, 0.0)
+        # the slope gradient takes the slope's dtype, shared or per channel
         want_gs = (np.asarray([want_gs_full.sum()], sd) if s.size == 1
-                   else want_gs_full.sum(axis=(0, 2, 3)))
+                   else want_gs_full.sum(axis=(0, 2, 3)).astype(sd))
         for got, exp in ((gx, want_gx), (gs, want_gs)):
             assert got.dtype == exp.dtype
             np.testing.assert_array_equal(got, exp)
