@@ -61,7 +61,7 @@ def main(argv=None) -> int:
 
     p_ablate = sub.add_parser("ablate", help="desk-scale ablation reports")
     p_ablate.add_argument("which", choices=["aggregation", "layout"])
-    p_ablate.add_argument("--config", required=True, help="read by layout only")
+    p_ablate.add_argument("--config", help="required by layout, unused by aggregation")
     p_ablate.add_argument("--out", required=True)
     p_ablate.add_argument("--train-steps", type=int, default=0)
 
@@ -80,6 +80,8 @@ def main(argv=None) -> int:
         if args.command == "ablate":
             if args.train_steps < 0:
                 raise ConfigError(f"--train-steps must be >= 0, got {args.train_steps}")
+            if args.which == "layout" and args.config is None:
+                raise ConfigError("ablate layout requires --config")
             lines = (P.aggregation_report() if args.which == "aggregation"
                      else P.layout_report(P.load_config(args.config), args.out,
                                           args.train_steps))

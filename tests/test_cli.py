@@ -401,6 +401,21 @@ class TestAblateCommand:
         report = pipeline.run_eval(cfg, str(out / "r3c2" / "final.ckpt"))
         assert cells["r3c2"] == f"{report.aggregate[0]:.6f}"
 
+    def test_aggregation_needs_no_config(self, tmp_path, capsys):
+        config, _ = _make_dataset(tmp_path / "data")
+        runs = []
+        for name, extra in [("with", ["--config", str(config)]), ("without", [])]:
+            out = tmp_path / name
+            assert cli.main(["ablate", "aggregation", *extra, "--out", str(out)]) == cli.EXIT_OK
+            runs.append((capsys.readouterr().out, (out / "aggregation.txt").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_layout_without_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        assert cli.main(["ablate", "layout", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: ablate layout requires --config\n"
+        assert not out.exists()
+
     def test_unknown_ablation_exits_2(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         # argparse's choices reject it: SystemExit with the usage error code

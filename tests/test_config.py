@@ -172,6 +172,18 @@ class TestCheckpoint:
                     + np.array([1.5, -2.0], dtype="<f4").tobytes())
         assert p.read_bytes() == expected
 
+    def test_any_layout_and_dtype_saves_the_same_bytes(self, tmp_path):
+        # values are written from the array itself: a transposed, float64 or
+        # big-endian array must write what its contiguous float32 copy writes
+        w = RNG(1).normal(size=(3, 5)).astype(np.float32)
+        paths = []
+        for i, arr in enumerate([np.ascontiguousarray(w.T), w.T, w.T.astype(np.float64),
+                                 w.T.astype(">f4")]):
+            paths.append(tmp_path / f"{i}.ckpt")
+            save_checkpoint(paths[-1], {"w": arr})
+        assert len({p.read_bytes() for p in paths}) == 1
+        assert np.array_equal(load_checkpoint(paths[1])["w"], w.T)
+
     def test_scalar_entry_is_rank_zero(self, tmp_path):
         p = tmp_path / "s.ckpt"
         save_checkpoint(p, {"optim.step": np.float32(3.0)})
@@ -184,8 +196,8 @@ class TestCheckpoint:
         assert float(back["optim.step"]) == 3.0
 
     def test_load_holds_the_file_once(self, tmp_path):
-        # each entry's values are read into its own array, and nothing else
-        # holds the file's bytes
+        # each entry's values are read into its own slice of one buffer, and
+        # nothing else holds the file's bytes
         p = tmp_path / "big.ckpt"
         save_checkpoint(p, {f"w{i}": RNG(i).normal(size=(64, 64, 3, 3)).astype(np.float32)
                             for i in range(16)})
@@ -198,6 +210,49 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert len(arrays) == 16
         assert peak <= 1.25 * size, (peak, size)
+
+    def test_entries_are_views_of_one_buffer(self, tmp_path):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(p, self._arrays())
+        back = load_checkpoint(p)
+
+        def root(a):
+            while a.base is not None:
+                a = a.base
+            return a
+        assert len({id(root(a)) for a in back.values()}) == 1
+        names = list(back)
+        for i, name in enumerate(names):
+            for other in names[i + 1:]:
+                assert not np.shares_memory(back[name], back[other]), (name, other)
+
+    def test_writing_one_entry_changes_no_other(self, tmp_path):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(p, self._arrays())
+        back = load_checkpoint(p)
+        back["head.bias"][...] = np.nan
+        for name, stored in self._arrays().items():
+            if name != "head.bias":
+                assert np.array_equal(back[name], stored), name
+
+    @pytest.mark.parametrize("header,match", [
+        (b"XXXX" + struct.pack("<I", 1), "magic"),
+        (b"MIRT" + struct.pack("<I", 99), "version")], ids=["magic", "version"])
+    def test_bad_header_rejected_before_allocating(self, tmp_path, header, match):
+        # a 64 MB file (sparse: only its header is written) whose header is
+        # wrong is rejected before a buffer for its values exists
+        p = tmp_path / "bad.ckpt"
+        with open(p, "wb") as fh:
+            fh.write(header)
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=match):
+                load_checkpoint(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
