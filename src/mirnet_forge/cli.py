@@ -80,6 +80,9 @@ def main(argv=None) -> int:
         if args.command == "ablate":
             if args.train_steps < 0:
                 raise ConfigError(f"--train-steps must be >= 0, got {args.train_steps}")
+            if args.which == "aggregation" and args.train_steps:
+                raise ConfigError("ablate aggregation does not train; "
+                                  f"--train-steps must be 0, got {args.train_steps}")
             if args.which == "layout" and args.config is None:
                 raise ConfigError("ablate layout requires --config")
             lines = (P.aggregation_report() if args.which == "aggregation"

@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
 Format: one `section.key = value` per line, `#` starts a comment, blank lines
-ignored.  Unknown keys are rejected.  The keys are the settings dataclasses'
-fields in field order (`data.spec`'s fields are `data.*`), each typed by its
-default.  The effective configuration can be rendered back to text; a rerun
+ignored.  Unknown and repeated keys are rejected.  The keys are the settings
+dataclasses' fields in field order (`data.spec`'s fields are `data.*`), each
+typed by its default.  The effective configuration can be rendered back to text; a rerun
 from the echoed text is bit-identical.  Settings are frozen and check
 themselves when they are built, so nothing checks them again.
 """
@@ -111,7 +111,7 @@ def _replace(obj, values: dict, path=()):
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text and build the checked config."""
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,6 +122,10 @@ def parse_config(text: str) -> RunConfig:
         entry = _KEYS.get(key)
         if entry is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: repeated key {key!r} "
+                              f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         path, typ = entry
         try:
             values[path] = typ(value)

@@ -32,10 +32,11 @@ def load_config(path: str) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = parse_config(text)
-    # a relative manifest is taken relative to the config file itself
+    # a relative manifest is taken relative to the config file itself, and
+    # made absolute so that the echoed config reruns from any directory
     if cfg.data.manifest and not Path(cfg.data.manifest).is_absolute():
         cfg = dataclasses.replace(cfg, data=dataclasses.replace(
-            cfg.data, manifest=str(Path(path).parent / cfg.data.manifest)))
+            cfg.data, manifest=str(Path(path).absolute().parent / cfg.data.manifest)))
     return cfg
 
 

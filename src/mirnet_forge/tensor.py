@@ -233,7 +233,7 @@ def _im2col(xd, kh, kw):
     return cols.copy().reshape(n, c * kh * kw, h * w)
 
 
-# A k x k forward runs from row taps instead of im2col columns when the
+# A k x k correlation runs from row taps instead of im2col columns when the
 # columns would exceed COLUMN_BYTES (they spill out of cache) and the batch's
 # plane has at least PLANE_PER_COUT positions per output channel (the weight
 # reorder and the accumulation passes stay small next to the column writes
@@ -242,15 +242,18 @@ COLUMN_BYTES = 4 << 20
 PLANE_PER_COUT = 5
 
 
-def _conv_row_taps(xd, wd):
-    """im2col's product from row taps: a buffer (N, kw*C, H*W) holding the
-    input once per horizontal kernel tap, shifted and zero-bordered (kw times
-    the input, where the columns are kh*kw times), then one GEMM per kernel
-    row on a view of the buffer shifted by whole rows, with no copy.  The
-    centre row's GEMM writes the output; each other's adds into the output
-    rows it reaches."""
+def _correlate(xd, wd):
+    """The "same" zero-padded correlation of `xd` (N, C, H, W) with `wd`
+    (cout, C, kh, kw), as (N, cout, H*W): one GEMM on im2col columns, or,
+    past the route rule, on row taps: a buffer (N, kw*C, H*W) holding the
+    input once per horizontal tap, shifted and zero-bordered, and one GEMM per
+    kernel row on a view of it shifted by whole rows; the centre row's writes
+    the output, each other's adds into the rows it reaches."""
     n, c, h, w = xd.shape
     cout, _, kh, kw = wd.shape
+    if not (kh * kw > 1 and n * h * w >= PLANE_PER_COUT * cout
+            and n * kh * kw * c * h * w * xd.itemsize > COLUMN_BYTES):
+        return np.matmul(wd.reshape(cout, -1), _im2col(xd, kh, kw))
     taps = np.empty((n, kw, c, h, w), xd.dtype)
     for dx in range(kw):
         s = dx - kw // 2
@@ -285,11 +288,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
-    if (kh * kw > 1 and n * h * w >= PLANE_PER_COUT * cout
-            and n * kh * kw * cin * h * w * x.data.itemsize > COLUMN_BYTES):
-        out = _conv_row_taps(x.data, weight.data)
-    else:
-        out = np.matmul(weight.data.reshape(cout, -1), _im2col(x.data, kh, kw))
+    out = _correlate(x.data, weight.data)
     if bias is not None:  # in place unless the bias widens the result dtype
         b = bias.data[None, :, None]
         out = np.add(out, b, out=out if np.result_type(out, b) == out.dtype else None)
@@ -298,7 +297,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
     # The node keeps the input, not its columns (kh*kw times its size):
-    # backward rebuilds them for gw and drops them before building g's.
+    # backward rebuilds them for gw and drops them before correlating g.
     def back(g):
         g2 = g.reshape(n, cout, h * w)
         cols = _im2col(x.data, kh, kw)
@@ -308,12 +307,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         for i in range(1, n):
             gw += g2[i] @ cols[i].T
         del cols
-        # gx is the "same" convolution of g with the flipped kernel, its
+        # gx is the "same" correlation of g with the flipped kernel, its
         # input and output channels swapped.  The kernel is copied
-        # channel-last (long contiguous runs, about half the cost of a
-        # channel-first copy) and enters the GEMM as a transposed operand.
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, cin).T
-        gx = np.matmul(flipped, _im2col(g, kh, kw)).reshape(x.data.shape)
+        # channel-last (about half the cost of a channel-first copy), so on
+        # the im2col route it enters the GEMM as a transposed operand.
+        flipped = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1))
+        gx = _correlate(g, flipped.transpose(3, 0, 1, 2)).reshape(x.data.shape)
         gw = gw.reshape(weight.data.shape)
         if bias is None:
             return gx, gw

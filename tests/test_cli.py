@@ -31,6 +31,17 @@ data.noise_sigma = 25
 """
 
 
+def _config_with(extra: bytes) -> bytes:
+    """BASE_CONFIG with the lines of `extra` appended, less the lines whose
+    keys `extra` sets again: a config sets each key once."""
+    def key(line):
+        return line.split(b"#")[0].split(b"=")[0].strip()
+
+    keys = {key(line) for line in extra.splitlines()} - {b""}
+    base = BASE_CONFIG.encode().splitlines(keepends=True)
+    return b"".join(line for line in base if key(line) not in keys) + extra
+
+
 def _smooth_image(seed, h=24, w=24):
     """Low-frequency random image so denoising has signal to recover."""
     rng = RNG(seed)
@@ -112,6 +123,19 @@ class TestTrainCommand:
         assert {"config.txt", "loss_log.csv", "final.ckpt"} <= set(names)
         for name in names:
             assert (flag / name).read_bytes() == (key / name).read_bytes(), name
+
+    def test_echoed_config_reruns_from_a_relative_path(self, tmp_path, monkeypatch):
+        # the echo holds an absolute manifest, so it names the same data from
+        # the run directory as the original config does from the working one
+        _make_dataset(tmp_path / "data")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--config", "data/config.txt", "--out", "runs/a"]) == cli.EXIT_OK
+        manifest = parse_config(Path("runs/a/config.txt").read_text()).data.manifest
+        assert manifest == str(tmp_path / "data" / "manifest.txt")
+        assert cli.main(["train", "--config", "runs/a/config.txt",
+                         "--out", "runs/b"]) == cli.EXIT_OK
+        for name in ("loss_log.csv", "final.ckpt", "config.txt"):
+            assert (Path("runs/a") / name).read_bytes() == (Path("runs/b") / name).read_bytes()
 
     def test_bad_config_exits_2(self, tmp_path):
         config, _ = _make_dataset(
@@ -371,7 +395,7 @@ class TestAblateCommand:
         # also a grid that would train without a manifest
         config, _ = _make_dataset(tmp_path / "data")
         no_manifest = tmp_path / "data" / "no_manifest.txt"
-        no_manifest.write_text(BASE_CONFIG + "data.manifest =\n")
+        no_manifest.write_bytes(_config_with(b"data.manifest =\n"))
         out = tmp_path / "ablate"
         for path, steps, err in (
                 (config, "-2", "--train-steps must be >= 0, got -2"),
@@ -410,6 +434,19 @@ class TestAblateCommand:
             runs.append((capsys.readouterr().out, (out / "aggregation.txt").read_bytes()))
         assert runs[0] == runs[1]
 
+    def test_aggregation_train_steps_exits_2_before_writing(self, tmp_path, capsys):
+        # the report is parameter counts only; a training request is refused
+        # rather than answered with untrained counts
+        out = tmp_path / "ablate"
+        assert cli.main(["ablate", "aggregation", "--out", str(out),
+                         "--train-steps", "3"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: ablate aggregation does not train; "
+                "--train-steps must be 0, got 3\n")
+        assert not out.exists()
+        assert cli.main(["ablate", "aggregation", "--out", str(out),
+                         "--train-steps", "0"]) == cli.EXIT_OK
+
     def test_layout_without_config_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ablate"
         assert cli.main(["ablate", "layout", "--out", str(out)]) == cli.EXIT_CONFIG
@@ -425,9 +462,10 @@ class TestAblateCommand:
         assert exc.value.code == cli.EXIT_CONFIG
 
 
-# (config lines appended to BASE_CONFIG, command and its arguments, exit code,
-# stderr label); "{root}" is the dataset directory, "{ckpt}" an identity
-# checkpoint of BASE_CONFIG's network and "{nan_ckpt}" one with a NaN weight.
+# (config lines that extend or override BASE_CONFIG, command and its
+# arguments, exit code, stderr label); "{root}" is the dataset directory,
+# "{ckpt}" an identity checkpoint of BASE_CONFIG's network and "{nan_ckpt}"
+# one with a NaN weight.
 BAD_INPUTS = {
     "lr_min_zero": (b"train.lr_min = 0\n", ["train", "--out", "{root}/run"],
                     cli.EXIT_CONFIG, "config error"),
@@ -488,12 +526,13 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     config, _ = _make_dataset(root)
     ckpt = _identity_checkpoint(tmp_path, config)
     nan_ckpt = _nan_checkpoint(tmp_path, ckpt)
-    config.write_bytes(BASE_CONFIG.encode() + extra)
+    config.write_bytes(_config_with(extra))
     (root / "latin1.txt").write_bytes(b"img_\xe9.ppm\n")
     args = [a.format(root=root, ckpt=ckpt, nan_ckpt=nan_ckpt) for a in args]
     assert cli.main([args[0], "--config", str(config), *args[1:]]) == code
     err = capsys.readouterr().err
     assert err.startswith(label + ": ") and err.endswith("\n") and err.count("\n") == 1
+    assert "repeated key" not in err
 
 
 def test_numerical_failure_is_one_stderr_line_in_a_subprocess(tmp_path):

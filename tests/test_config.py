@@ -85,6 +85,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 2.*network.depth"):
             parse_config("train.seed = 1\nnetwork.depth = 9\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("train.batch = 4\ntrain.batch = 2\n")
+        assert str(info.value) == "line 2: repeated key 'train.batch' (first on line 1)"
+        # comments and blank lines count as lines; the same value is no excuse
+        with pytest.raises(ConfigError, match=r"^line 4: .* \(first on line 2\)$"):
+            parse_config("# run\ndata.noise_sigma = 25\n\ndata.noise_sigma = 25 # again\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("train.total_steps = soon\n")

@@ -112,6 +112,22 @@ class TestPPM:
         with pytest.raises(ContractError):
             ImageBuffer(np.zeros((4, 4), dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [300, -1, 1.5, np.nan, np.inf],
+                             ids=["300", "-1", "1.5", "nan", "inf"])
+    def test_buffer_rejects_values_uint8_cannot_hold(self, value):
+        px = np.full((2, 3, 3), 7, dtype=np.float64 if isinstance(value, float) else np.int64)
+        px[1, 2, 0] = value
+        with pytest.raises(ContractError, match="integers in 0-255"):
+            ImageBuffer(px)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.float32, np.uint16])
+    def test_buffer_accepts_integral_values_in_range(self, dtype):
+        img = _random_image(3)
+        img.pixels[0, 0] = (0, 255, 128)
+        other = ImageBuffer(img.pixels.astype(dtype))
+        assert other.pixels.dtype == np.uint8
+        np.testing.assert_array_equal(other.pixels, img.pixels)
+
 
 class TestConversion:
     def test_round_trip_identity_on_8bit(self):

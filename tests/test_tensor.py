@@ -163,37 +163,52 @@ _ROUTES = {"columns_below": ((1, 16, 64, _EDGE_W, 4), False),
            "plane_below": ((1, 256, T.PLANE_PER_COUT, 51, 52), False)}
 
 
+@pytest.fixture
+def im2col_calls(monkeypatch):
+    """Shapes of the inputs `_im2col` is called on, in call order."""
+    calls = []
+    im2col = T._im2col
+    monkeypatch.setattr(T, "_im2col",
+                        lambda xd, kh, kw: calls.append(xd.shape) or im2col(xd, kh, kw))
+    return calls
+
+
+@pytest.fixture
+def row_taps_everywhere(monkeypatch):
+    """Every k x k correlation, forward or input gradient, takes row taps."""
+    monkeypatch.setattr(T, "COLUMN_BYTES", 0)
+    monkeypatch.setattr(T, "PLANE_PER_COUT", 0)
+
+
 class TestRowTaps:
     @pytest.mark.parametrize("kernel", [3, 5], ids=["3x3", "5x5"])
     @pytest.mark.parametrize("plane", [(7, 6), (1, 1), (1, 5), (5, 1)],
                              ids=["7x6", "1x1", "1x5", "5x1"])
-    def test_matches_loop_oracle(self, plane, kernel):
+    def test_matches_loop_oracle(self, plane, kernel, row_taps_everywhere, im2col_calls):
         # extents at or below the kernel's reach leave whole taps and kernel
         # rows outside the plane
         x = randt((2, 3) + plane, seed=50).data
         w = randt((4, 3, kernel, kernel), seed=51).data
-        out = T._conv_row_taps(x, w).reshape((2, 4) + plane)
+        out = T._correlate(x, w).reshape((2, 4) + plane)
+        assert im2col_calls == []
         np.testing.assert_allclose(out, conv2d_loops(x, w, None, 1, kernel // 2),
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("case", list(_ROUTES))
-    def test_route_follows_both_constants(self, case, monkeypatch):
+    def test_route_follows_both_constants(self, case, im2col_calls):
         (n, cin, h, w, cout), row_taps = _ROUTES[case]
         assert (72 * n * cin * h * w > T.COLUMN_BYTES) == (case != "columns_below")
         assert (n * h * w >= T.PLANE_PER_COUT * cout) == (case != "plane_below")
-        calls = []
-        conv_row_taps = T._conv_row_taps
-        monkeypatch.setattr(T, "_conv_row_taps",
-                            lambda xd, wd: calls.append(1) or conv_row_taps(xd, wd))
         x = randt((n, cin, h, w), seed=52)
         wt = randt((cout, cin, 3, 3), seed=53)
         out = T.conv2d(x, wt).data
-        assert bool(calls) == row_taps
+        assert bool(im2col_calls) != row_taps
         cols = np.matmul(wt.data.reshape(cout, -1), T._im2col(x.data, 3, 3))
         np.testing.assert_allclose(out, cols.reshape(out.shape), rtol=0, atol=1e-12)
 
     def test_gradients_above_threshold(self):
-        # the forward runs from row taps; backward is the im2col one
+        # the forward runs from row taps; g has 4 channels, too few for its
+        # columns to cross COLUMN_BYTES, so the input gradient takes im2col
         (n, cin, h, w, cout), _ = _ROUTES["columns_above"]
         x = Tensor(0.1 * randt((n, cin, h, w), seed=54).data)
         wt = Tensor(0.1 * randt((cout, cin, 3, 3), seed=55).data)
@@ -201,6 +216,39 @@ class TestRowTaps:
         rep = grad_check(lambda: T.tsum(T.sigmoid(T.conv2d(x, wt, b))), [x, wt, b],
                          max_coords=12)
         assert rep.passed, rep
+
+    def test_backward_above_threshold_builds_columns_once(self, im2col_calls):
+        # 32 channels at 64 x 64 in float32: 4.5 MiB of columns for x and for
+        # g alike, so only gw's columns of x are built, and gx takes row taps
+        x = randt((1, 32, 64, 64), seed=59, dtype=np.float32)
+        wt = Tensor(0.1 * randt((32, 32, 3, 3), seed=60, dtype=np.float32).data)
+        x.requires_grad = wt.requires_grad = True
+        with Tape() as tape:
+            T.conv2d(x, wt)
+        assert im2col_calls == []
+        g = randt((1, 32, 64, 64), seed=61, dtype=np.float32).data
+        (_, _, back), = tape.nodes
+        gx, _ = back(g)
+        assert im2col_calls == [x.shape]
+        # the im2col formula, in float64: g's columns times the flipped
+        # kernel with its channels swapped
+        flipped = wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(32, -1)
+        want = np.matmul(flipped.astype(np.float64), T._im2col(g.astype(np.float64), 3, 3))
+        assert gx.dtype == np.float32
+        np.testing.assert_allclose(gx, want.reshape(gx.shape), rtol=0,
+                                   atol=1e-5 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kernel", [3, 5], ids=["3x3", "5x5"])
+    @pytest.mark.parametrize("plane", [(1, 5), (5, 1), (7, 6)], ids=["1x5", "5x1", "7x6"])
+    def test_gradients_with_row_taps_everywhere(self, plane, kernel, row_taps_everywhere,
+                                                im2col_calls):
+        x = randt((2, 3) + plane, seed=62)
+        wt = Tensor(0.5 * randt((4, 3, kernel, kernel), seed=63).data)
+        b = randt((4,), seed=64)
+        rep = grad_check(lambda: T.tsum(T.sigmoid(T.conv2d(x, wt, b))), [x, wt, b])
+        assert rep.passed, rep
+        # one backward: gw's columns are the only ones built
+        assert im2col_calls == [x.shape]
 
     def test_forward_peak_memory_below_six_inputs(self):
         # im2col's columns alone are 9x the input; the taps are 3x, plus the
