@@ -1,7 +1,7 @@
 """Command-line entry point: train, eval, infer, gradcheck, ablate.
 
 Exit codes: 0 success, 1 verification failure, 2 config or checkpoint error,
-3 I/O or data error, 4 numerical failure.
+3 I/O, data or out-of-memory error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_TABLE = (
     (CheckpointError, EXIT_CONFIG, "checkpoint error"),
     (P.NumericalError, EXIT_NUMERIC, "numerical failure"),
     ((OSError, D.ParseError, T.ContractError), EXIT_DATA, "data error"),
+    (MemoryError, EXIT_DATA, "out of memory"),
 )
 
 

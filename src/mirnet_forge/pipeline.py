@@ -72,18 +72,18 @@ def build_pairs(cfg: RunConfig, manifest_path: str):
 
 
 def run_training(cfg: RunConfig, out_dir: str | Path):
-    """Train into `out_dir`.  The data load before anything is written, and
-    `loss_log.csv` gets one flushed row per completed step."""
+    """Train into `out_dir`, building the data and the network before
+    writing anything; `loss_log.csv` gets a flushed row per completed step."""
     pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(render_config(cfg))
-
     net = B.MIRNet(cfg.network, seed=cfg.train.seed)
     params = net.named_parameters()
     adam = O.Adam()
     sched = cfg.train.schedule()
     sampler = cfg.train.sampler()
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(render_config(cfg))
 
     with open(out / "loss_log.csv", "w") as log:
         log.write("step,lr,loss\n")

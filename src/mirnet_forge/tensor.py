@@ -189,9 +189,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """PReLU with slope broadcast per channel; a length-1 slope is shared."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"prelu expects NCHW input, got {x.data.shape}")
-    c = x.data.shape[1]
+    c = _nchw(x)[1]
     if slope.data.ndim != 1 or slope.data.shape[0] not in (1, c):
         raise ShapeError(
             f"slope length {slope.data.shape} incompatible with {c} channels")

@@ -158,6 +158,14 @@ class TestTrainCommand:
                          "--out", str(tmp_path / "run")]) == cli.EXIT_DATA
         assert not (tmp_path / "run").exists()
 
+    def test_manifest_of_comments_exits_3(self, tmp_path, capsys):
+        config, manifest = _make_dataset(tmp_path / "data")
+        manifest.write_text("# img_0.ppm\n\n  # img_1.ppm\n")
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: manifest {manifest} lists no images\n"
+        assert not (tmp_path / "run").exists()
+
     def test_corrupt_image_exits_3(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         (tmp_path / "data" / "img_1.ppm").write_bytes(b"P6\n9 9\n255\nxy")
@@ -241,6 +249,16 @@ class TestEvalCommand:
         assert cli.main(["eval", "--config", str(bigger),
                          "--checkpoint", str(ckpt)]) == cli.EXIT_CONFIG
         assert "head.weight" in capsys.readouterr().err
+
+    def test_missing_parameter_exits_2(self, tmp_path, capsys):
+        config, _ = _make_dataset(tmp_path / "data")
+        params = load_checkpoint(_identity_checkpoint(tmp_path, config))
+        del params["tail.bias"]
+        save_checkpoint(tmp_path / "short.ckpt", params)
+        assert cli.main(["eval", "--config", str(config),
+                         "--checkpoint", str(tmp_path / "short.ckpt")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "checkpoint error: checkpoint missing parameter 'tail.bias'\n")
 
     def test_y_channel_mode_in_header(self, tmp_path, capsys):
         config, _ = _make_dataset(
@@ -347,7 +365,12 @@ class TestGradcheckCommand:
                             lambda: run_gradcheck_suite(corrupt="dau"))
         assert cli.main(["gradcheck"]) == cli.EXIT_VERIFY
         captured = capsys.readouterr()
-        assert "dau" in captured.err
+        assert captured.err == "failing blocks: dau\n"
+        # the control corrupts the dau case's own input, not the DAUs nested
+        # in the mrb, rrg and network cases
+        failing = [row.split("\t")[0] for row in captured.out.splitlines()
+                   if row.endswith("\tFAIL")]
+        assert failing == ["dau"]
 
 
 class TestAblateCommand:
@@ -533,6 +556,23 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(label + ": ") and err.endswith("\n") and err.count("\n") == 1
     assert "repeated key" not in err
+
+
+def test_out_of_memory_exits_3_before_writing(tmp_path, capsys):
+    # 10^8 channels ask numpy for weights no host holds (a 3x3 conv of that
+    # width is 3.6e17 bytes); the allocation fails without touching memory
+    root = tmp_path / "data"
+    config, _ = _make_dataset(root)
+    ckpt = _identity_checkpoint(tmp_path, config)
+    config.write_bytes(_config_with(b"network.base_channels = 100000000\n"))
+    run, ablate = tmp_path / "run", tmp_path / "ablate"
+    for args in (["train", "--out", str(run)],
+                 ["eval", "--checkpoint", str(ckpt)],
+                 ["ablate", "layout", "--out", str(ablate)]):
+        assert cli.main([args[0], "--config", str(config), *args[1:]]) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not run.exists() and not ablate.exists()
 
 
 def test_numerical_failure_is_one_stderr_line_in_a_subprocess(tmp_path):

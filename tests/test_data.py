@@ -39,6 +39,7 @@ HEADER_ERRORS = {
                              "truncated pixel payload at byte 17: need 6 bytes, found 3"),
     "5000_digit_width": (b"P6\n" + b"9" * 5000 + b" 1\n255\n",
                          "bad width field at byte 3: " + _int_error(b"9" * 5000)),
+    "zero_width": (b"P6\n0 4\n255\n", "non-positive image extent at byte 3"),
 }
 
 
@@ -257,12 +258,17 @@ class TestDegrade:
         assert np.array_equal(tgt.pixels, img.pixels)
 
     def test_invalid_specs_rejected(self):
-        for kwargs in (dict(task="sharpen"),
-                       dict(task="super_resolve", scale_factor=5),
-                       dict(task="enhance", exposure_gain=0.0),
-                       dict(task="enhance", gamma=0.5)):
-            with pytest.raises(ContractError):
+        for kwargs, message in (
+                (dict(task="sharpen"), "unknown task 'sharpen'"),
+                (dict(noise_sigma=-1.0), "noise_sigma must be >= 0"),
+                (dict(task="super_resolve", scale_factor=5),
+                 "scale_factor must be 2, 3 or 4"),
+                (dict(task="enhance", exposure_gain=0.0),
+                 "exposure_gain must lie in (0, 1]"),
+                (dict(task="enhance", gamma=0.5), "gamma must be >= 1")):
+            with pytest.raises(ContractError) as info:
                 DegradationSpec(**kwargs)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("task", ["denoise", "super_resolve", "enhance"])
     @pytest.mark.parametrize("field", ["noise_sigma", "exposure_gain", "gamma"])

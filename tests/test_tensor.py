@@ -584,6 +584,30 @@ def test_op_gradients_small_shapes(op, seed):
     assert rep.passed, rep
 
 
+# name -> (the call, the exact ShapeError message)
+INPUT_GUARDS = {
+    "conv2d_3d_input": (lambda: T.conv2d(randt((2, 4, 4)), randt((3, 2, 3, 3))),
+                        "conv2d expects 4-D input and weight"),
+    "conv2d_bias_length": (
+        lambda: T.conv2d(randt((1, 2, 4, 4)), randt((3, 2, 3, 3)), randt((2,))),
+        "bias shape (2,) != (3,)"),
+    "prelu_3d_input": (lambda: T.prelu(randt((2, 4, 4)), randt((1,))),
+                       "expected NCHW input, got (2, 4, 4)"),
+    "gap_3d_input": (lambda: T.global_avg_pool(randt((2, 4, 4))),
+                     "expected NCHW input, got (2, 4, 4)"),
+    "binomial_2x5": (lambda: T.binomial_stride2(randt((1, 1, 2, 5))),
+                     "binomial_stride2 needs extents >= 3, got 2x5"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_GUARDS.values(),
+                         ids=INPUT_GUARDS.keys())
+def test_input_guard_messages(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestGradCheck:
     def test_linear_function_exact(self):
         x = randt((1, 2, 3, 3), seed=22)
