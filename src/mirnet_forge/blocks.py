@@ -81,17 +81,16 @@ def count_parameters(module: Module) -> tuple[dict[str, int], int]:
     return counts, sum(counts.values())
 
 
-def init_weights(module: Module, seed: int | None = 0, dtype=np.float32) -> Module:
-    """Draw every conv weight from one generator, in `named_parameters`
-    order, and cast every parameter to `dtype`; returns `module`.
-    `seed=None` draws nothing: conv weights are allocated unset in `dtype`."""
-    rng = None if seed is None else np.random.default_rng(seed)
+def init_weights(module: Module, seed: int = 0, dtype=np.float32) -> Module:
+    """Draw every conv weight from `default_rng(seed)`, in `named_parameters`
+    order, and cast every parameter to `dtype`; returns `module`."""
+    if seed is None:
+        # default_rng(None) would draw from OS entropy
+        raise T.ContractError("init_weights needs a seed")
+    rng = np.random.default_rng(seed)
     for p in module.named_parameters().values():
         shape = p.data.shape
-        if len(shape) == 4 and rng is None:
-            # unset memory is reallocated, not cast: it may hold NaN patterns
-            p.data = np.empty(shape, dtype)
-        elif len(shape) == 4:
+        if len(shape) == 4:
             # Kaiming-uniform fan-in with the standard leaky-slope correction
             # (gain^2 = 2/(1+5) = 1/3); keeps the deep unnormalized residual
             # stack bounded at initialization.
@@ -342,18 +341,19 @@ class MIRNet(Module):
     image_hat = image + residual.
 
     A seed runs `init_weights(self, seed, dtype)`.  `seed=None` draws nothing
-    (conv weights unset, in `dtype`), for callers that assign every weight
+    and leaves the float32 weights unset, for callers that assign every weight
     before use (`load_network`) or only count them (`layout_report`).
     """
 
     def __init__(self, config: NetworkConfig, dtype=np.float32, seed: int | None = 0):
+        if seed is None and np.dtype(dtype) != np.float32:
+            raise T.ContractError(f"an unseeded MIRNet is float32, got {np.dtype(dtype)}")
         c = config.base_channels
         self.head = Conv2d(IMAGE_CHANNELS, c, 3)
         self.rrg = [RRG(config) for _ in range(config.n_rrg)]
         self.tail = Conv2d(c, IMAGE_CHANNELS, 3)
         self.config = config
-        # float32 and unseeded is what the constructors already built
-        if seed is not None or np.dtype(dtype) != np.float32:
+        if seed is not None:
             init_weights(self, seed, dtype)
 
     def __call__(self, image):

@@ -62,7 +62,7 @@ def main(argv=None) -> int:
 
     p_ablate = sub.add_parser("ablate", help="desk-scale ablation reports")
     p_ablate.add_argument("which", choices=["aggregation", "layout"])
-    p_ablate.add_argument("--config", help="required by layout, unused by aggregation")
+    p_ablate.add_argument("--config", help="required by layout")
     p_ablate.add_argument("--out", required=True)
     p_ablate.add_argument("--train-steps", type=int, default=0)
 
@@ -81,9 +81,9 @@ def main(argv=None) -> int:
         if args.command == "ablate":
             if args.train_steps < 0:
                 raise ConfigError(f"--train-steps must be >= 0, got {args.train_steps}")
-            if args.which == "aggregation" and args.train_steps:
-                raise ConfigError("ablate aggregation does not train; "
-                                  f"--train-steps must be 0, got {args.train_steps}")
+            if args.which == "aggregation" and (args.config is not None or args.train_steps):
+                raise ConfigError("ablate aggregation takes no --config "
+                                  "and no --train-steps above 0")
             if args.which == "layout" and args.config is None:
                 raise ConfigError("ablate layout requires --config")
             lines = (P.aggregation_report() if args.which == "aggregation"

@@ -138,10 +138,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Effective configuration as canonical key=value text."""
+    """Effective configuration as canonical key=value text, which
+    `parse_config` reads back to `cfg`: a value holding `#` or a line break,
+    which it would not, raises ConfigError."""
     lines = []
     for (key, (_, typ)), (_, value) in zip(_KEYS.items(), _settings(cfg)):
         if typ is float:
             value = repr(float(value))
-        lines.append(f"{key} = {value}")
+        line = f"{key} = {value}"
+        if "#" in line or line.splitlines() != [line]:
+            raise ConfigError(f"{key} value {value!r} cannot be echoed: "
+                              "it holds '#' or a line break")
+        lines.append(line)
     return "\n".join(lines) + "\n"

@@ -76,8 +76,8 @@ def cosine_lr(step: int, sched: CosineSchedule) -> float:
 class Adam:
     """Adam with bias correction; state is keyed by parameter name and is not
     checkpointed.  `step` updates m, v (in the parameter's dtype) and each
-    p.data in place, BLOCK elements at a time so the working set stays in
-    cache, with the textbook update's float operations in order.
+    C-contiguous p.data in place, BLOCK elements at a time so the working set
+    stays in cache, with the textbook update's float operations in order.
     """
 
     BLOCK = 1 << 16
@@ -109,7 +109,8 @@ class Adam:
                     f"gradient shape {g.shape} misaligned with parameter "
                     f"{name} of shape {p.data.shape}")
             if not p.data.flags.c_contiguous:
-                p.data = p.data.copy()
+                # a copy would leave other references to p.data un-updated
+                raise ContractError(f"parameter {name} is not C-contiguous")
             flat = [a.reshape(-1) for a in (g, self.m[name], self.v[name], p.data)]
             scratch = np.empty((2, min(self.BLOCK, p.data.size)), p.data.dtype)
             for start in range(0, p.data.size, self.BLOCK):

@@ -72,8 +72,10 @@ def build_pairs(cfg: RunConfig, manifest_path: str):
 
 
 def run_training(cfg: RunConfig, out_dir: str | Path):
-    """Train into `out_dir`, building the data and the network before
-    writing anything; `loss_log.csv` gets a flushed row per completed step."""
+    """Train into `out_dir`, rendering the config and building the data and
+    the network before writing anything; `loss_log.csv` gets a flushed row
+    per completed step."""
+    echo = render_config(cfg)
     pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
     net = B.MIRNet(cfg.network, seed=cfg.train.seed)
     params = net.named_parameters()
@@ -83,7 +85,7 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(render_config(cfg))
+    (out / "config.txt").write_text(echo)
 
     with open(out / "loss_log.csv", "w") as log:
         log.write("step,lr,loss\n")

@@ -25,14 +25,14 @@ class ContractError(ValueError):
 
 
 class Tensor:
-    """A dense numeric array with an optional gradient buffer."""
+    """A dense float32 or float64 array with an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
+            raise ContractError(f"tensor data must be float32 or float64, got {arr.dtype}")
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -87,7 +87,9 @@ def backward(tape: Tape, loss: Tensor):
     Leaves are the requires_grad inputs that no node on the tape produced;
     intermediate tensors keep grad None.  Leaves unreachable from the loss
     receive zero gradients.  The tape is consumed: each node is dropped as it
-    is replayed, freeing its activations, and the tape ends empty.
+    is replayed, freeing its activations, and the tape ends empty.  A node
+    whose backward returns a gradient of another shape than its input's
+    raises ContractError naming the op, instead of broadcasting it.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -106,6 +108,10 @@ def backward(tape: Tape, loss: Tensor):
         for t, ig in zip(inputs, back(g)):
             if ig is None or not t.requires_grad:
                 continue
+            if ig.shape != t.data.shape:
+                op = back.__qualname__.rsplit(".<locals>.", 1)[0]
+                raise ContractError(f"{op} backward returned a gradient of shape "
+                                    f"{ig.shape} for an input of shape {t.data.shape}")
             acc = grads.get(id(t))
             grads[id(t)] = ig if acc is None else acc + ig
     for key, t in leaves.items():

@@ -528,18 +528,29 @@ class TestInitWeights:
         def no_draw(*args, **kwargs):
             raise AssertionError("an unseeded build drew random numbers")
         monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(blocks, "init_weights", no_draw)
         cfg = _small_cfg(n_streams=3, n_columns=2)
-        params = MIRNet(cfg, np.float64, seed=None).named_parameters()
-        assert list(params) == list(MIRNet(cfg, seed=None).named_parameters())
-        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}
+        # float32 is the checkpoint load path: no walk, no second allocation
+        params = MIRNet(cfg, seed=None).named_parameters()
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
         biases = [p.data for n, p in params.items() if n.endswith(".bias")]
         slopes = [p.data for n, p in params.items() if n.endswith(".slope")]
         assert biases and all(np.all(b == 0.0) for b in biases)
         assert slopes and all(np.all(s == 0.25) for s in slopes)
-        # float32 is the checkpoint load path: no walk, no second allocation
-        monkeypatch.setattr(blocks, "init_weights", no_draw)
-        params = MIRNet(cfg, seed=None).named_parameters()
-        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+        # any other dtype is drawn storage, so it needs a seed
+        with pytest.raises(ContractError) as info:
+            MIRNet(cfg, np.float64, seed=None)
+        assert str(info.value) == "an unseeded MIRNet is float32, got float64"
+
+    def test_init_weights_needs_a_seed(self, monkeypatch):
+        # default_rng(None) would seed from OS entropy; it is never reached
+        def no_draw(*args, **kwargs):
+            raise AssertionError("init_weights drew random numbers")
+        dau = DAU(8)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ContractError) as info:
+            init_weights(dau, None)
+        assert str(info.value) == "init_weights needs a seed"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from mirnet_forge import cli
 from mirnet_forge import data as D
 from mirnet_forge import optim as O
 from mirnet_forge import pipeline
+from mirnet_forge import tensor as T
 from mirnet_forge.checkpoint import load_checkpoint, save_checkpoint
 from mirnet_forge.config import parse_config, render_config
 from mirnet_forge.verify import run_gradcheck_suite
@@ -137,6 +138,17 @@ class TestTrainCommand:
         for name in ("loss_log.csv", "final.ckpt", "config.txt"):
             assert (Path("runs/a") / name).read_bytes() == (Path("runs/b") / name).read_bytes()
 
+    def test_unechoable_manifest_exits_2_before_writing(self, tmp_path, capsys):
+        # the echo of a manifest under "a#b" would rerun on the data under "a"
+        config, manifest = _make_dataset(tmp_path / "a#b")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: data.manifest value {str(manifest)!r} cannot be "
+            "echoed: it holds '#' or a line break\n")
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         config, _ = _make_dataset(
             tmp_path / "data", config_text=BASE_CONFIG + "train.momentum = 0.9\n")
@@ -183,6 +195,20 @@ class TestTrainCommand:
         log = (out / "loss_log.csv").read_text().splitlines()
         assert log[0] == "step,lr,loss"
         assert len(log) == 2 and log[1].startswith("0,1.0000000000e+30,")
+
+    def test_nan_loss_without_a_flag_stops_at_the_loss_check(
+            self, tmp_path, capsys, monkeypatch):
+        # a NaN that sets no floating-point flag passes errstate
+        def nan_loss(pred, target, mode):
+            return T._record([pred, target], np.asarray(np.nan, pred.data.dtype),
+                             lambda g: (None, None))
+        monkeypatch.setattr(O, "charbonnier_loss", nan_loss)
+        config, _ = _make_dataset(tmp_path / "data")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numerical failure: non-finite loss at step 0\n"
+        assert (out / "loss_log.csv").read_text() == "step,lr,loss\n"
 
 
 def _identity_checkpoint(tmp_path, config):
@@ -302,17 +328,29 @@ class TestEvalCommand:
 
 
 class TestInferCommand:
-    def test_identity_round_trip_with_padding(self, tmp_path):
-        # 30x30 is not divisible by the stream divisor; reflect-pad + crop
-        # must return the original pixels bit-exactly for an identity net.
+    def test_identity_round_trip_with_padding(self, tmp_path, monkeypatch):
+        # 31x29 is not divisible by the 2-stream divisor 2, so the network
+        # rejects it unpadded; reflect-pad + crop must return the original
+        # pixels bit-exactly for an identity net.
         config, _ = _make_dataset(tmp_path / "data")
         ckpt = _identity_checkpoint(tmp_path, config)
         src = D.ImageBuffer(
-            RNG(5).integers(0, 256, (30, 30, 3), dtype=np.uint8))
+            RNG(5).integers(0, 256, (31, 29, 3), dtype=np.uint8))
+        net = pipeline.load_network(pipeline.load_config(str(config)), str(ckpt))
+        with pytest.raises(T.ShapeError, match="31x29 must be divisible by 2"):
+            net(T.Tensor(D.to_array(src)[None]))
+        reflected, pad = [], np.pad
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("mode") == "reflect":
+                reflected.append(a.shape)
+            return pad(a, *args, **kwargs)
+        monkeypatch.setattr(np, "pad", spy)
         D.save_ppm(src, tmp_path / "in.ppm")
         rc = cli.main(["infer", "--config", str(config), "--checkpoint", str(ckpt),
                        str(tmp_path / "in.ppm"), str(tmp_path / "out.ppm")])
         assert rc == cli.EXIT_OK
+        assert reflected == [(3, 31, 29)]
         out = D.load_ppm(tmp_path / "out.ppm")
         assert np.array_equal(out.pixels, src.pixels)
 
@@ -375,26 +413,26 @@ class TestGradcheckCommand:
 
 class TestAblateCommand:
     def test_aggregation_counts(self, tmp_path, capsys):
-        config, _ = _make_dataset(tmp_path / "data")
         out = tmp_path / "ablate"
-        assert cli.main(["ablate", "aggregation", "--config", str(config),
-                         "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["ablate", "aggregation", "--out", str(out)]) == cli.EXIT_OK
         text = (out / "aggregation.txt").read_text()
         assert "sum\t0" in text
         assert "concat\t12288" in text
         assert "skff\t2049" in text
         assert f"concat_to_skff_ratio\t{12288 / 2049:.3f}" in text
 
-    def test_aggregation_ignores_config(self, tmp_path, capsys):
-        # the report does not depend on the config, so it is never read
+    def test_aggregation_config_exits_2_before_writing(self, tmp_path, capsys):
+        # the report does not depend on a config, so one given is refused
+        # rather than ignored
         config, _ = _make_dataset(tmp_path / "data")
-        reports = []
-        for name, path in [("valid", config), ("missing", tmp_path / "absent.json")]:
-            out = tmp_path / name
+        out = tmp_path / "ablate"
+        for path in (config, "x"):
             assert cli.main(["ablate", "aggregation", "--config", str(path),
-                             "--out", str(out)]) == cli.EXIT_OK
-            reports.append((out / "aggregation.txt").read_text())
-        assert reports[0] == reports[1]
+                             "--out", str(out)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr() == (
+                "", "config error: ablate aggregation takes no --config and no "
+                    "--train-steps above 0\n")
+            assert not out.exists()
 
     def test_layout_grid(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
@@ -448,14 +486,13 @@ class TestAblateCommand:
         report = pipeline.run_eval(cfg, str(out / "r3c2" / "final.ckpt"))
         assert cells["r3c2"] == f"{report.aggregate[0]:.6f}"
 
-    def test_aggregation_needs_no_config(self, tmp_path, capsys):
-        config, _ = _make_dataset(tmp_path / "data")
-        runs = []
-        for name, extra in [("with", ["--config", str(config)]), ("without", [])]:
-            out = tmp_path / name
-            assert cli.main(["ablate", "aggregation", *extra, "--out", str(out)]) == cli.EXIT_OK
-            runs.append((capsys.readouterr().out, (out / "aggregation.txt").read_bytes()))
-        assert runs[0] == runs[1]
+    def test_aggregation_needs_no_config(self, tmp_path, capsys, monkeypatch):
+        def no_config(path):
+            raise AssertionError("ablate aggregation read a config")
+        monkeypatch.setattr(pipeline, "load_config", no_config)
+        out = tmp_path / "ablate"
+        assert cli.main(["ablate", "aggregation", "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.encode() == (out / "aggregation.txt").read_bytes()
 
     def test_aggregation_train_steps_exits_2_before_writing(self, tmp_path, capsys):
         # the report is parameter counts only; a training request is refused
@@ -464,8 +501,8 @@ class TestAblateCommand:
         assert cli.main(["ablate", "aggregation", "--out", str(out),
                          "--train-steps", "3"]) == cli.EXIT_CONFIG
         assert capsys.readouterr() == (
-            "", "config error: ablate aggregation does not train; "
-                "--train-steps must be 0, got 3\n")
+            "", "config error: ablate aggregation takes no --config and no "
+                "--train-steps above 0\n")
         assert not out.exists()
         assert cli.main(["ablate", "aggregation", "--out", str(out),
                          "--train-steps", "0"]) == cli.EXIT_OK

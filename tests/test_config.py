@@ -76,6 +76,16 @@ class TestConfigParsing:
         assert again == cfg
         assert render_config(again) == render_config(cfg)
 
+    @pytest.mark.parametrize("manifest", ["a#b/m.txt", "a\nb", "a\rb", "a\u2028b"],
+                             ids=["hash", "newline", "return", "line_separator"])
+    def test_render_rejects_what_parse_would_misread(self, manifest):
+        # parse_config reads '#' as a comment and splits lines on any break
+        cfg = dataclasses.replace(RunConfig(), data=DataConfig(manifest=manifest))
+        with pytest.raises(ConfigError) as info:
+            render_config(cfg)
+        assert str(info.value) == (f"data.manifest value {manifest!r} cannot be "
+                                   "echoed: it holds '#' or a line break")
+
     def test_default_text_is_pinned(self):
         # key names and order, repr floats and the empty manifest's trailing space
         assert render_config(RunConfig()) == DEFAULT_TEXT

@@ -203,6 +203,17 @@ class TestAdam:
             expected = expected - 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
         np.testing.assert_array_equal(p.data, expected)
 
+    def test_non_contiguous_parameter_rejected(self):
+        # a copy would leave every other reference to the array stale
+        p = Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)
+        p.grad = np.ones((3, 2))
+        data = p.data
+        with pytest.raises(ContractError) as info:
+            Adam().step({"w": p}, lr=0.1)
+        assert str(info.value) == "parameter w is not C-contiguous"
+        assert p.data is data
+        np.testing.assert_array_equal(data, np.arange(6.0).reshape(2, 3).T)
+
     def test_state_keeps_parameter_dtype(self):
         p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
         p.grad = np.array([0.5, 0.25])   # float64

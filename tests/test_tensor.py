@@ -457,6 +457,12 @@ class TestBranchSoftmax:
             T.branch_softmax([randt((1, 2, 1, 1))])
 
 
+def bad_identity(x):
+    """Identity whose backward wrongly sums the gradient per channel."""
+    return T._record([x], x.data.copy(),
+                     lambda g: (g.sum(axis=(0, 2, 3), keepdims=True),))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = randt((2, 3, 4, 4), seed=15)
@@ -560,6 +566,20 @@ class TestBackward:
         T.backward(tape, loss)
         np.testing.assert_array_equal(y.grad, np.zeros_like(y.data))
 
+    def test_wrong_gradient_shape_names_the_op(self):
+        # the per-channel sum would broadcast through acc + ig and give
+        # x.grad[0, 0, 0, 0] == 33.0 instead of 2.0
+        x = randt((2, 3, 4, 4), seed=30)
+        x.requires_grad = True
+        with Tape() as tape:
+            loss = T.tsum(T.add(bad_identity(x), x))
+        with pytest.raises(ContractError) as info:
+            T.backward(tape, loss)
+        assert str(info.value) == (
+            "bad_identity backward returned a gradient of shape (1, 3, 1, 1) "
+            "for an input of shape (2, 3, 4, 4)")
+        assert x.grad is None
+
     def test_composite_matches_finite_differences(self):
         # batch of two: weight gradients contract over batch and positions
         x = randt((2, 2, 4, 4), seed=19)
@@ -582,6 +602,15 @@ def test_op_gradients_small_shapes(op, seed):
     x = randt((1, 3, 5, 6), seed=seed)
     rep = grad_check(lambda: T.tsum(T.sigmoid(op(x))), x)
     assert rep.passed, rep
+
+
+@pytest.mark.parametrize("data", [np.arange(3), np.ones(2, np.float16), True],
+                         ids=["int64", "float16", "bool"])
+def test_tensor_takes_float32_or_float64_only(data):
+    with pytest.raises(ContractError) as info:
+        Tensor(data)
+    assert str(info.value) == (
+        f"tensor data must be float32 or float64, got {np.asarray(data).dtype}")
 
 
 # name -> (the call, the exact ShapeError message)
