@@ -4,19 +4,19 @@ from .blocks import (DAU, MRB, RRG, SKFF, ChannelAttention, ConcatFusion,
                      MIRNet, NetworkConfig, ResizeDown, ResizeUp,
                      SpatialAttention, SumFusion, blur_pool, count_parameters,
                      init_weights)
-from .data import (DegradationSpec, ImageBuffer, PatchSampler,
-                   add_gaussian_noise, bicubic_resize, degrade, load_ppm,
-                   sample_batch, save_ppm)
+from .config import TrainConfig
+from .data import (DegradationSpec, ImageBuffer, add_gaussian_noise,
+                   bicubic_resize, degrade, load_ppm, sample_batch, save_ppm)
 from .metrics import psnr, ssim
-from .optim import Adam, CosineSchedule, charbonnier_loss, cosine_lr
+from .optim import Adam, charbonnier_loss, cosine_lr
 from .tensor import ContractError, ShapeError, Tape, Tensor, backward
 from .verify import grad_check
 
 __all__ = [
-    "Adam", "ChannelAttention", "ConcatFusion", "ContractError",
-    "CosineSchedule", "DAU", "DegradationSpec", "ImageBuffer", "MIRNet", "MRB",
-    "NetworkConfig", "PatchSampler", "RRG", "ResizeDown", "ResizeUp", "SKFF",
-    "ShapeError", "SpatialAttention", "SumFusion", "Tape", "Tensor",
+    "Adam", "ChannelAttention", "ConcatFusion", "ContractError", "DAU",
+    "DegradationSpec", "ImageBuffer", "MIRNet", "MRB", "NetworkConfig", "RRG",
+    "ResizeDown", "ResizeUp", "SKFF", "ShapeError", "SpatialAttention",
+    "SumFusion", "Tape", "Tensor", "TrainConfig",
     "add_gaussian_noise", "backward", "bicubic_resize", "blur_pool",
     "charbonnier_loss", "cosine_lr", "count_parameters", "degrade",
     "grad_check", "init_weights", "load_ppm", "psnr", "sample_batch",

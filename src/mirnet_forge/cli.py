@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 config or checkpoint error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -45,7 +44,6 @@ def main(argv=None) -> int:
     p_train = sub.add_parser("train", help="run the training loop")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a manifest")
     p_eval.add_argument("--config", required=True)
@@ -96,9 +94,6 @@ def main(argv=None) -> int:
             return EXIT_OK
         cfg = P.load_config(args.config)
         if args.command == "train":
-            if args.seed is not None:
-                cfg = dataclasses.replace(
-                    cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
             P.run_training(cfg, args.out)
         elif args.command == "eval":
             print(P.format_report(P.run_eval(cfg, args.checkpoint, args.manifest)))

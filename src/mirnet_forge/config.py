@@ -11,12 +11,13 @@ themselves when they are built, so nothing checks them again.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .blocks import NetworkConfig
-from .data import DegradationSpec, PatchSampler
+from .data import DegradationSpec
 from .metrics import check_channel_mode
-from .optim import CosineSchedule, check_loss_mode
+from .optim import check_loss_mode
 
 
 class ConfigError(ValueError):
@@ -35,19 +36,18 @@ class TrainConfig:
     checkpoint_every: int = 500
 
     def __post_init__(self):
-        # the lr, step, patch and batch rules live in the classes that use them
-        self.schedule()
+        if not (math.isfinite(self.lr_init) and math.isfinite(self.lr_min)):
+            raise ConfigError("train.lr_init and train.lr_min must be finite")
+        if not (self.lr_init > self.lr_min > 0):
+            raise ConfigError("require train.lr_init > train.lr_min > 0")
+        if self.total_steps < 1:
+            raise ConfigError("train.total_steps must be >= 1")
         check_loss_mode(self.loss_mode)
-        self.sampler()
+        if self.patch_size < 1 or self.batch < 1:
+            raise ConfigError("train.patch_size and train.batch must be >= 1")
         for key in ("seed", "checkpoint_every"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"train.{key} must be >= 0")
-
-    def schedule(self) -> CosineSchedule:
-        return CosineSchedule(self.lr_init, self.lr_min, self.total_steps)
-
-    def sampler(self) -> PatchSampler:
-        return PatchSampler(self.patch_size, self.batch, self.seed)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tensor import ContractError
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import TrainConfig
 
 
 class ParseError(ValueError):
@@ -97,6 +101,8 @@ def load_ppm(path) -> ImageBuffer:
         raise ParseError(f"unsupported maxval {maxval} at byte {moff}")
     if width < 1 or height < 1:
         raise ParseError(f"non-positive image extent at byte {fields[0][1]}")
+    if pos == len(raw):
+        raise ParseError(f"unexpected end of header at byte {pos}")
     pos += 1  # exactly one whitespace byte separates header from payload
     need = 3 * width * height
     payload = raw[pos:pos + need]
@@ -232,36 +238,25 @@ def degrade(image: ImageBuffer, spec: DegradationSpec) -> tuple[ImageBuffer, Ima
 # patch sampling
 
 
-@dataclass(frozen=True)
-class PatchSampler:
-    patch_size: int = 32
-    batch: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.patch_size < 1 or self.batch < 1:
-            raise ContractError("patch_size and batch must be >= 1")
-
-
 def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
-                 sampler: PatchSampler,
+                 train: TrainConfig,
                  batch_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw a batch of aligned input/target patches as float32 NCHW in [0, 1].
 
     Crop positions and horizontal and vertical flips are uniform per
-    (sampler.seed, batch_index); the same crop and flips are applied to input
+    (train.seed, batch_index); the same crop and flips are applied to input
     and target.
     """
-    ps = sampler.patch_size
+    ps = train.patch_size
     for i, (inp, tgt) in enumerate(pairs):
         if inp.width < ps or inp.height < ps:
             raise ContractError(
                 f"image {i} ({inp.width}x{inp.height}) smaller than patch {ps}")
         if (inp.width, inp.height) != (tgt.width, tgt.height):
             raise ContractError(f"pair {i} has mismatched extents")
-    rng = _rng(sampler.seed, batch_index)
+    rng = _rng(train.seed, batch_index)
     xs, ys = [], []
-    for _ in range(sampler.batch):
+    for _ in range(train.batch):
         idx = int(rng.integers(0, len(pairs)))
         inp, tgt = pairs[idx]
         oy = int(rng.integers(0, inp.height - ps + 1))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError, ShapeError, Tensor
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import TrainConfig
 
 
 #: Charbonnier smoothing constant.
@@ -45,32 +48,17 @@ def charbonnier_loss(pred: Tensor, target: Tensor,
     return T._record([pred, target], np.asarray(out, dtype=d.dtype), back)
 
 
-@dataclass(frozen=True)
-class CosineSchedule:
-    lr_init: float = 2e-4
-    lr_min: float = 1e-6
-    total_steps: int = 700_000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lr_init) and math.isfinite(self.lr_min)):
-            raise ContractError("lr_init and lr_min must be finite")
-        if not (self.lr_init > self.lr_min > 0):
-            raise ContractError("require lr_init > lr_min > 0")
-        if self.total_steps < 1:
-            raise ContractError("total_steps must be >= 1")
-
-
-def cosine_lr(step: int, sched: CosineSchedule) -> float:
+def cosine_lr(step: int, train: TrainConfig) -> float:
     """Half-cosine decay from lr_init at step 0 to lr_min at total_steps.
 
     Steps past the end clamp to lr_min.
     """
     if step < 0:
         raise ContractError("step must be non-negative")
-    if step >= sched.total_steps:
-        return sched.lr_min
-    frac = step / sched.total_steps
-    return sched.lr_min + 0.5 * (sched.lr_init - sched.lr_min) * (1.0 + math.cos(math.pi * frac))
+    if step >= train.total_steps:
+        return train.lr_min
+    frac = step / train.total_steps
+    return train.lr_min + 0.5 * (train.lr_init - train.lr_min) * (1.0 + math.cos(math.pi * frac))
 
 
 class Adam:

@@ -80,8 +80,6 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     net = B.MIRNet(cfg.network, seed=cfg.train.seed)
     params = net.named_parameters()
     adam = O.Adam()
-    sched = cfg.train.schedule()
-    sampler = cfg.train.sampler()
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,8 +88,8 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     with open(out / "loss_log.csv", "w") as log:
         log.write("step,lr,loss\n")
         for step in range(cfg.train.total_steps):
-            lr = O.cosine_lr(step, sched)
-            x, y = D.sample_batch(pairs, sampler, step)
+            lr = O.cosine_lr(step, cfg.train)
+            x, y = D.sample_batch(pairs, cfg.train, step)
             # drop the last step's gradients so this forward reuses their memory
             for p in params.values():
                 p.grad = None

@@ -19,6 +19,7 @@ from mirnet_forge import optim as O
 from mirnet_forge import pipeline
 from mirnet_forge import tensor as T
 from mirnet_forge.blocks import NetworkConfig
+from mirnet_forge.config import TrainConfig
 from mirnet_forge.tensor import Tensor
 from mirnet_forge.verify import run_gradcheck_suite
 
@@ -198,7 +199,7 @@ def test_criterion_05_blur_pool_shift_equivariance():
 
 
 def test_criterion_06_schedule_endpoints():
-    s = O.CosineSchedule(2e-4, 1e-6, 700_000)
+    s = TrainConfig(lr_init=2e-4, lr_min=1e-6, total_steps=700_000)
     mid = O.cosine_lr(350_000, s)
     ok = (O.cosine_lr(0, s) == 2e-4
           and O.cosine_lr(700_000, s) == 1e-6

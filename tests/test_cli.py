@@ -106,24 +106,20 @@ class TestTrainCommand:
     def test_seed_changes_run(self, tmp_path):
         config, _ = _make_dataset(tmp_path / "data")
         a, b = tmp_path / "a", tmp_path / "b"
-        cli.main(["train", "--config", str(config), "--out", str(a), "--seed", "0"])
-        cli.main(["train", "--config", str(config), "--out", str(b), "--seed", "1"])
+        for seed, out in ((0, a), (1, b)):
+            config.write_bytes(_config_with(f"train.seed = {seed}\n".encode()))
+            assert cli.main(["train", "--config", str(config),
+                             "--out", str(out)]) == cli.EXIT_OK
         assert (a / "final.ckpt").read_bytes() != (b / "final.ckpt").read_bytes()
 
-    def test_seed_flag_equals_seed_key(self, tmp_path):
-        root = tmp_path / "data"
-        config, _ = _make_dataset(root)
-        keyed = root / "keyed.txt"
-        keyed.write_text(BASE_CONFIG + "train.seed = 5\n")
-        flag, key = tmp_path / "flag", tmp_path / "key"
-        assert cli.main(["train", "--config", str(config), "--out", str(flag),
-                         "--seed", "5"]) == cli.EXIT_OK
-        assert cli.main(["train", "--config", str(keyed), "--out", str(key)]) == cli.EXIT_OK
-        names = sorted(p.name for p in flag.iterdir())
-        assert names == sorted(p.name for p in key.iterdir())
-        assert {"config.txt", "loss_log.csv", "final.ckpt"} <= set(names)
-        for name in names:
-            assert (flag / name).read_bytes() == (key / name).read_bytes(), name
+    def test_seed_is_set_by_the_config_only(self, tmp_path):
+        # the config line train.seed = N is the one way to set it
+        config, _ = _make_dataset(tmp_path / "data")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o"),
+                      "--seed", "1"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     def test_echoed_config_reruns_from_a_relative_path(self, tmp_path, monkeypatch):
         # the echo holds an absolute manifest, so it names the same data from
@@ -536,8 +532,6 @@ BAD_INPUTS = {
         cli.EXIT_CONFIG, "config error"),
     "seed_negative": (b"train.seed = -1\n", ["train", "--out", "{root}/run"],
                       cli.EXIT_CONFIG, "config error"),
-    "seed_flag_negative": (b"", ["train", "--out", "{root}/run", "--seed", "-1"],
-                           cli.EXIT_CONFIG, "config error"),
     "config_not_utf8": (b"# caf\xe9\n", ["train", "--out", "{root}/run"],
                         cli.EXIT_CONFIG, "config error"),
     "manifest_not_utf8": (b"data.manifest = latin1.txt\n",

@@ -16,8 +16,7 @@ from mirnet_forge.checkpoint import (
 from mirnet_forge.config import (
     ConfigError, DataConfig, EvalConfig, RunConfig, TrainConfig, parse_config,
     render_config)
-from mirnet_forge.data import DegradationSpec, PatchSampler
-from mirnet_forge.optim import CosineSchedule
+from mirnet_forge.data import DegradationSpec
 
 RNG = np.random.default_rng
 
@@ -128,10 +127,23 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 parse_config(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("train.lr_init = nan\n", "train.lr_init and train.lr_min must be finite"),
+        ("train.lr_min = 0\n", "require train.lr_init > train.lr_min > 0"),
+        ("train.total_steps = 0\n", "train.total_steps must be >= 1"),
+        ("train.patch_size = 0\n", "train.patch_size and train.batch must be >= 1"),
+        ("train.batch = 0\n", "train.patch_size and train.batch must be >= 1"),
+    ], ids=["lr_init_nan", "lr_min_zero", "total_steps_zero", "patch_size_zero",
+            "batch_zero"])
+    def test_train_rule_messages_name_their_keys(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
 
 @pytest.mark.parametrize("settings", [
-    NetworkConfig(), DegradationSpec(), PatchSampler(), CosineSchedule(),
-    TrainConfig(), DataConfig(), EvalConfig(), RunConfig()],
+    NetworkConfig(), DegradationSpec(), TrainConfig(), DataConfig(),
+    EvalConfig(), RunConfig()],
     ids=lambda settings: type(settings).__name__)
 def test_settings_are_frozen(settings):
     name = dataclasses.fields(settings)[0].name

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from mirnet_forge.config import TrainConfig
 from mirnet_forge.data import (
-    DegradationSpec, ImageBuffer, ParseError, PatchSampler, add_gaussian_noise,
-    apply_flips, bicubic_resize, degrade, load_ppm, round_half_up, sample_batch,
-    save_ppm, split_seed, to_array, to_image)
+    DegradationSpec, ImageBuffer, ParseError, add_gaussian_noise, apply_flips,
+    bicubic_resize, degrade, load_ppm, round_half_up, sample_batch, save_ppm,
+    split_seed, to_array, to_image)
 from mirnet_forge.tensor import ContractError
 
 RNG = np.random.default_rng
@@ -35,6 +36,7 @@ HEADER_ERRORS = {
     "cr_vt_ff_separators": (b"P6\r2\x0b1\x0cx\n", "bad maxval field at byte 7"),
     "ff_after_maxval": (b"P6\r\x0b\x0c2 1 255\x0c",
                         "truncated pixel payload at byte 13: need 6 bytes, found 0"),
+    "maxval_at_eof": (b"P6 2 1 255", "unexpected end of header at byte 10"),
     "comment_before_magic": (b"#c\nP6 2 1 255 #c\n",
                              "truncated pixel payload at byte 17: need 6 bytes, found 3"),
     "5000_digit_width": (b"P6\n" + b"9" * 5000 + b" 1\n255\n",
@@ -289,22 +291,22 @@ class TestSampling:
         return out
 
     def test_batch_shape_and_range(self):
-        x, y = sample_batch(self._pairs(), PatchSampler(8, 4, seed=0))
+        x, y = sample_batch(self._pairs(), TrainConfig(patch_size=8, batch=4, seed=0))
         assert x.shape == (4, 3, 8, 8) and y.shape == (4, 3, 8, 8)
         assert x.dtype == np.float32 and y.dtype == np.float32
         assert x.min() >= 0.0 and x.max() <= 1.0
 
     def test_input_target_alignment(self):
         # identical pair images must give identical patches, flips included
-        x, y = sample_batch(self._pairs(), PatchSampler(8, 8, seed=5))
+        x, y = sample_batch(self._pairs(), TrainConfig(patch_size=8, batch=8, seed=5))
         assert np.array_equal(x, y)
 
     def test_deterministic_per_batch_index(self):
         pairs = self._pairs()
-        s = PatchSampler(8, 4, seed=1)
-        x1, _ = sample_batch(pairs, s, batch_index=3)
-        x2, _ = sample_batch(pairs, s, batch_index=3)
-        x3, _ = sample_batch(pairs, s, batch_index=4)
+        train = TrainConfig(patch_size=8, batch=4, seed=1)
+        x1, _ = sample_batch(pairs, train, batch_index=3)
+        x2, _ = sample_batch(pairs, train, batch_index=3)
+        x3, _ = sample_batch(pairs, train, batch_index=4)
         assert np.array_equal(x1, x2)
         assert not np.array_equal(x1, x3)
 
@@ -313,7 +315,7 @@ class TestSampling:
         for i in range(4):
             img = ImageBuffer(np.full((16, 16, 3), i * 50, dtype=np.uint8))
             pairs.append((img, img))
-        x, _ = sample_batch(pairs, PatchSampler(8, 16, seed=2))
+        x, _ = sample_batch(pairs, TrainConfig(patch_size=8, batch=16, seed=2))
         for patch in x:
             vals = np.unique(patch)
             assert vals.size == 1
@@ -330,9 +332,10 @@ class TestSampling:
         img = ImageBuffer(px)
         borders = {"top": (0, 60), "bottom": (0, 120),
                    "left": (1, 60), "right": (1, 120)}
+        train = TrainConfig(patch_size=8, batch=256, seed=6)
         seen = set()
         for bi in range(8):
-            x, _ = sample_batch([(img, img)], PatchSampler(8, 256, seed=6), bi)
+            x, _ = sample_batch([(img, img)], train, bi)
             for patch in np.rint(x * 255):
                 for name, (channel, value) in borders.items():
                     # columns of channel 1 become rows
@@ -344,13 +347,13 @@ class TestSampling:
     def test_small_image_rejected(self):
         img = _random_image(30, 4, 4)
         with pytest.raises(ContractError):
-            sample_batch([(img, img)], PatchSampler(8, 1))
+            sample_batch([(img, img)], TrainConfig(patch_size=8, batch=1))
 
     def test_mismatched_pair_rejected(self):
         a = _random_image(31, 16, 16)
         b = _random_image(32, 16, 12)
         with pytest.raises(ContractError):
-            sample_batch([(a, b)], PatchSampler(8, 1))
+            sample_batch([(a, b)], TrainConfig(patch_size=8, batch=1))
 
     def test_apply_flips(self):
         patch = RNG(33).integers(0, 256, (4, 5, 3), dtype=np.uint8)

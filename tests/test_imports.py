@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: every import in the package is
-numpy, the package itself or the standard library."""
+numpy, the package itself or the standard library.  Every exported name
+resolves."""
 
 import ast
 import sys
@@ -28,3 +29,10 @@ def test_numpy_is_the_only_runtime_dependency():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         foreign = set(_imported(tree)) - ALLOWED
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_every_export_resolves_once():
+    # a stale name would make `from mirnet_forge import *` raise
+    names = mirnet_forge.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(mirnet_forge, name)] == []

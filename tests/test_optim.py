@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mirnet_forge import tensor as T
-from mirnet_forge.optim import (
-    Adam, CosineSchedule, charbonnier_loss, cosine_lr)
+from mirnet_forge.config import ConfigError, TrainConfig
+from mirnet_forge.optim import Adam, charbonnier_loss, cosine_lr
 from mirnet_forge.tensor import ContractError, ShapeError, Tensor
 from mirnet_forge.verify import grad_check
 
@@ -72,41 +72,40 @@ class TestCharbonnier:
 
 class TestCosineSchedule:
     def test_endpoints(self):
-        s = CosineSchedule(2e-4, 1e-6, 1000)
+        s = TrainConfig(lr_init=2e-4, lr_min=1e-6, total_steps=1000)
         assert np.isclose(cosine_lr(0, s), 2e-4, rtol=1e-12)
         assert cosine_lr(1000, s) == 1e-6
         assert cosine_lr(5000, s) == 1e-6
 
     def test_midpoint(self):
-        s = CosineSchedule(2e-4, 1e-6, 1000)
+        s = TrainConfig(lr_init=2e-4, lr_min=1e-6, total_steps=1000)
         assert np.isclose(cosine_lr(500, s), (2e-4 + 1e-6) / 2, rtol=1e-12)
 
     def test_monotone_nonincreasing(self):
-        s = CosineSchedule(2e-4, 1e-6, 700_000)
+        s = TrainConfig(lr_init=2e-4, lr_min=1e-6, total_steps=700_000)
         lrs = [cosine_lr(t, s) for t in range(0, 700_001, 3500)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
         assert lrs[0] > lrs[-1]
 
     def test_quarter_point_value(self):
         # lr(T/4) = lr_min + 0.5*(lr_init - lr_min)*(1 + cos(pi/4))
-        s = CosineSchedule(1e-3, 1e-5, 400)
+        s = TrainConfig(lr_init=1e-3, lr_min=1e-5, total_steps=400)
         expected = 1e-5 + 0.5 * (1e-3 - 1e-5) * (1 + math.cos(math.pi / 4))
         assert np.isclose(cosine_lr(100, s), expected, rtol=1e-12)
 
     def test_invalid_inputs(self):
-        s = CosineSchedule()
         with pytest.raises(ContractError):
-            cosine_lr(-1, s)
-        with pytest.raises(ContractError):
-            cosine_lr(0, CosineSchedule(lr_init=1e-6, lr_min=2e-4))
-        with pytest.raises(ContractError):
-            cosine_lr(0, CosineSchedule(total_steps=0))
+            cosine_lr(-1, TrainConfig())
+        with pytest.raises(ConfigError):
+            TrainConfig(lr_init=1e-6, lr_min=2e-4)
+        with pytest.raises(ConfigError):
+            TrainConfig(total_steps=0)
 
     @pytest.mark.parametrize("field", ["lr_init", "lr_min"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_rate_rejected(self, field, value):
-        with pytest.raises(ContractError, match="must be finite"):
-            CosineSchedule(**{field: value})
+        with pytest.raises(ConfigError, match="must be finite"):
+            TrainConfig(**{field: value})
 
 
 def _adam_loops(data, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
