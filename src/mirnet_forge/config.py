@@ -45,9 +45,10 @@ class TrainConfig:
         check_loss_mode(self.loss_mode)
         if self.patch_size < 1 or self.batch < 1:
             raise ConfigError("train.patch_size and train.batch must be >= 1")
-        for key in ("seed", "checkpoint_every"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"train.{key} must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"train.seed must lie in [0, 2^64), got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise ConfigError("train.checkpoint_every must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 PPM (P6) is the canonical bit-exact image format.  All stochastic steps use
 the Philox counter-based generator keyed as Philox(key=[seed, stream]) so a
-(seed, stream) pair fully determines the output.
+(seed, stream) pair fully determines the output; a seed is one unsigned 64-bit
+key word, in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class ImageBuffer:
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -161,6 +162,8 @@ class DegradationSpec:
         for name in ("noise_sigma", "exposure_gain", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.seed < 2**64:
+            raise ContractError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.task == "denoise" and self.noise_sigma < 0:
             raise ContractError("noise_sigma must be >= 0")
         if self.task == "super_resolve" and self.scale_factor not in (2, 3, 4):
@@ -238,6 +241,17 @@ def degrade(image: ImageBuffer, spec: DegradationSpec) -> tuple[ImageBuffer, Ima
 # patch sampling
 
 
+def check_pairs(pairs: list[tuple[ImageBuffer, ImageBuffer]], patch_size: int):
+    """Raise ContractError unless each pair's images share their extents and
+    hold a patch_size patch."""
+    for i, (inp, tgt) in enumerate(pairs):
+        if inp.width < patch_size or inp.height < patch_size:
+            raise ContractError(
+                f"image {i} ({inp.width}x{inp.height}) smaller than patch {patch_size}")
+        if (inp.width, inp.height) != (tgt.width, tgt.height):
+            raise ContractError(f"pair {i} has mismatched extents")
+
+
 def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
                  train: TrainConfig,
                  batch_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +262,7 @@ def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
     and target.
     """
     ps = train.patch_size
-    for i, (inp, tgt) in enumerate(pairs):
-        if inp.width < ps or inp.height < ps:
-            raise ContractError(
-                f"image {i} ({inp.width}x{inp.height}) smaller than patch {ps}")
-        if (inp.width, inp.height) != (tgt.width, tgt.height):
-            raise ContractError(f"pair {i} has mismatched extents")
+    check_pairs(pairs, ps)
     rng = _rng(train.seed, batch_index)
     xs, ys = [], []
     for _ in range(train.batch):

@@ -77,6 +77,7 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     per completed step."""
     echo = render_config(cfg)
     pairs = [(inp, tgt) for _, inp, tgt in build_pairs(cfg, cfg.data.manifest)]
+    D.check_pairs(pairs, cfg.train.patch_size)
     net = B.MIRNet(cfg.network, seed=cfg.train.seed)
     params = net.named_parameters()
     adam = O.Adam()

@@ -46,6 +46,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self):
+        if self.data.size != 1:
+            raise ContractError(f"item() needs one element, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):

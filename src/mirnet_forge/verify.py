@@ -1,9 +1,9 @@
 """Finite-difference gradient checks and the suite covering every block.
 
 All suite checks run in double precision on small shapes (extents <= 8) and
-compare analytic gradients against central differences.  Large blocks check
-every input coordinate plus a deterministic subsample of each parameter
-tensor's coordinates.
+compare analytic gradients against central differences.  Large blocks are
+deep composites: a deterministic subsample of each tensor's coordinates is
+checked, with the deep stencils (see grad_check).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .tensor import ContractError, Tape, Tensor, backward
 TOLERANCE = 1e-4
 STEP = 1e-5
 DEEP_STEP = 1e-4
-# Deep composites need per-coordinate stencil fallbacks; see grad_check.
+# A check with max_coords is a deep composite's; see grad_check.
 DEEP_FALLBACKS = [(1e-5, 2), (3e-4, 4), (3e-5, 2), (1e-4, 4), (1e-6, 2), (3e-6, 2)]
 SEED = 0
 
@@ -33,34 +33,30 @@ class GradCheckReport:
     name: str = ""
 
 
-def grad_check(f, wrt: Tensor | list[Tensor], step: float = STEP,
-               max_coords: int | None = None, seed: int = 0,
-               fallbacks: list[tuple[float, int]] | None = None) -> GradCheckReport:
+def grad_check(f, wrt: list[Tensor], max_coords: int | None = None,
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of scalar-valued f against central differences.
 
     `f` is called with no arguments and must close over the tensors in `wrt`.
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8) and
-    passes at TOLERANCE.  With `max_coords`, a deterministic random subset of
-    coordinates is checked for each tensor (full coverage otherwise).  The
-    primary stencil is the 2-point central difference.
+    passes at TOLERANCE.  Without `max_coords`, every coordinate is checked
+    with the 2-point central difference at STEP.
 
-    No single step suits every coordinate of a deep composition: wide steps
-    cross activation kinks, narrow steps drown near-zero gradients in float64
-    roundoff.  `fallbacks` lists extra (step, order) stencils, order 2 or the
-    4th-order 5-point stencil, tried only for coordinates that fail at the
-    primary step; a coordinate's error is the minimum over stencils.  A wrong
-    backward rule disagrees with every stencil, so this does not mask real
-    gradient bugs.
+    With `max_coords`, the check is a deep composite's: a deterministic random
+    subset of each tensor's coordinates, at DEEP_STEP.  No single step suits
+    every coordinate of a deep composition: wide steps cross activation
+    kinks, narrow steps drown near-zero gradients in float64 roundoff.  So a
+    coordinate that fails at DEEP_STEP is retried with the (step, order)
+    stencils of DEEP_FALLBACKS, order 2 or the 4th-order 5-point stencil,
+    and its error is the minimum over stencils.  A wrong backward rule
+    disagrees with every stencil, so this does not mask real gradient bugs.
     """
     if max_coords is not None and max_coords < 1:
         raise ContractError(f"max_coords must be >= 1, got {max_coords}")
-    for h, o in [(step, 2), *(fallbacks or [])]:
-        if o not in (2, 4):
-            raise ContractError("order must be 2 or 4")
-        if not h > 0:
-            raise ContractError(f"step must be positive, got {h}")
-    tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
-    for t in tensors:
+    if not isinstance(wrt, list):
+        raise ContractError(f"wrt must be a list of tensors, got {type(wrt).__name__}")
+    step, fallbacks = (STEP, []) if max_coords is None else (DEEP_STEP, DEEP_FALLBACKS)
+    for t in wrt:
         t.requires_grad = True
         t.grad = None
     with Tape() as tape:
@@ -72,7 +68,7 @@ def grad_check(f, wrt: Tensor | list[Tensor], step: float = STEP,
     rng = np.random.default_rng(seed)
     max_abs = 0.0
     max_rel = 0.0
-    for t in tensors:
+    for t in wrt:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         size = t.data.size
         if max_coords is not None and size > max_coords:
@@ -104,7 +100,7 @@ def grad_check(f, wrt: Tensor | list[Tensor], step: float = STEP,
                 return abs_err, abs_err / max(abs(a), abs(num), 1e-8)
 
             abs_err, rel_err = errors(quotient(step, 2))
-            for h, o in fallbacks or []:
+            for h, o in fallbacks:
                 if rel_err <= TOLERANCE:
                     break
                 fa, fr = errors(quotient(h, o))
@@ -218,9 +214,6 @@ def run_gradcheck_suite(corrupt: str | None = None) -> list[GradCheckReport]:
         g, wrt = make()
         x = wrt[0]
         f = (lambda: g(_broken_scale(x))) if name == corrupt else (lambda: g(x))
-        deep = max_coords is not None
-        rep = grad_check(f, wrt, step=DEEP_STEP if deep else STEP,
-                         max_coords=max_coords, seed=len(name),
-                         fallbacks=DEEP_FALLBACKS if deep else None)
+        rep = grad_check(f, wrt, max_coords=max_coords, seed=len(name))
         reports.append(replace(rep, name=name))
     return reports

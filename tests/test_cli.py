@@ -145,6 +145,21 @@ class TestTrainCommand:
             "echoed: it holds '#' or a line break\n")
         assert not out.exists()
 
+    def test_small_image_exits_3_before_writing(self, tmp_path, capsys):
+        # the default patch is 32; the image and pair checks run before the
+        # run directory exists, not at the first step
+        root = tmp_path / "data"
+        root.mkdir()
+        D.save_ppm(_smooth_image(100, 16, 16), root / "img_0.ppm")
+        (root / "manifest.txt").write_text("img_0.ppm\n")
+        (root / "config.txt").write_text("data.manifest = manifest.txt\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(root / "config.txt"),
+                         "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: image 0 (16x16) smaller than patch 32\n")
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         config, _ = _make_dataset(
             tmp_path / "data", config_text=BASE_CONFIG + "train.momentum = 0.9\n")
@@ -532,6 +547,13 @@ BAD_INPUTS = {
         cli.EXIT_CONFIG, "config error"),
     "seed_negative": (b"train.seed = -1\n", ["train", "--out", "{root}/run"],
                       cli.EXIT_CONFIG, "config error"),
+    # a seed is one unsigned 64-bit Philox key word
+    "train_seed_2_64": (b"train.seed = 18446744073709551616\n",
+                        ["train", "--out", "{root}/run"], cli.EXIT_CONFIG, "config error"),
+    "data_seed_negative": (b"data.seed = -1\n", ["train", "--out", "{root}/run"],
+                           cli.EXIT_CONFIG, "config error"),
+    "data_seed_2_64": (b"data.seed = 18446744073709551616\n",
+                       ["train", "--out", "{root}/run"], cli.EXIT_CONFIG, "config error"),
     "config_not_utf8": (b"# caf\xe9\n", ["train", "--out", "{root}/run"],
                         cli.EXIT_CONFIG, "config error"),
     "manifest_not_utf8": (b"data.manifest = latin1.txt\n",

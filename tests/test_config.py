@@ -133,8 +133,10 @@ class TestConfigParsing:
         ("train.total_steps = 0\n", "train.total_steps must be >= 1"),
         ("train.patch_size = 0\n", "train.patch_size and train.batch must be >= 1"),
         ("train.batch = 0\n", "train.patch_size and train.batch must be >= 1"),
+        ("train.seed = 18446744073709551616\n",
+         "train.seed must lie in [0, 2^64), got 18446744073709551616"),
     ], ids=["lr_init_nan", "lr_min_zero", "total_steps_zero", "patch_size_zero",
-            "batch_zero"])
+            "batch_zero", "seed_2_64"])
     def test_train_rule_messages_name_their_keys(self, text, message):
         with pytest.raises(ConfigError) as info:
             parse_config(text)

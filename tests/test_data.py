@@ -5,9 +5,9 @@ import pytest
 
 from mirnet_forge.config import TrainConfig
 from mirnet_forge.data import (
-    DegradationSpec, ImageBuffer, ParseError, add_gaussian_noise, apply_flips,
-    bicubic_resize, degrade, load_ppm, round_half_up, sample_batch, save_ppm,
-    split_seed, to_array, to_image)
+    DegradationSpec, ImageBuffer, ParseError, _rng, add_gaussian_noise,
+    apply_flips, bicubic_resize, degrade, load_ppm, round_half_up, sample_batch,
+    save_ppm, split_seed, to_array, to_image)
 from mirnet_forge.tensor import ContractError
 
 RNG = np.random.default_rng
@@ -173,6 +173,28 @@ class TestSeeds:
         assert len(vals) == 16
         assert all(0 <= v < 2**63 for v in vals)
 
+    def test_seeds_at_and_above_2_63_draw_their_own_streams(self):
+        # a list key turns these seeds into float64, which maps each pair to
+        # one stream
+        def draw(seed):
+            return _rng(seed).integers(0, 1000, 8).tolist()
+
+        assert draw(2**63) != draw(2**63 + 1)
+        assert draw(2**64 - 1) != draw(0)
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (1, 5), (2**63 - 1, 2), (42, 2**40)])
+    def test_seeds_below_2_63_keep_their_streams(self, seed, stream):
+        # the key the seeds below 2^63 always had: a list of two Python ints
+        listed = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        assert _rng(seed, stream).integers(0, 2**63, 4).tolist() == \
+            listed.integers(0, 2**63, 4).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spec_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ContractError) as info:
+            DegradationSpec(seed=seed)
+        assert str(info.value) == f"seed must lie in [0, 2^64), got {seed}"
+
 
 class TestNoise:
     def test_zero_sigma_copies(self):
@@ -295,6 +317,19 @@ class TestSampling:
         assert x.shape == (4, 3, 8, 8) and y.shape == (4, 3, 8, 8)
         assert x.dtype == np.float32 and y.dtype == np.float32
         assert x.min() >= 0.0 and x.max() <= 1.0
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(ImageBuffer(np.zeros((16, 7, 3), np.uint8)),) * 2],
+         "image 0 (7x16) smaller than patch 8"),
+        ([(ImageBuffer(np.zeros((16, 16, 3), np.uint8)),
+           ImageBuffer(np.zeros((16, 12, 3), np.uint8)))],
+         "pair 0 has mismatched extents"),
+    ], ids=["small_image", "mismatched_pair"])
+    def test_bad_pairs_rejected(self, pairs, message):
+        # library callers reach sample_batch without run_training's early check
+        with pytest.raises(ContractError) as info:
+            sample_batch(pairs, TrainConfig(patch_size=8, batch=1))
+        assert str(info.value) == message
 
     def test_input_target_alignment(self):
         # identical pair images must give identical patches, flips included

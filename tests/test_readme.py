@@ -1,8 +1,10 @@
-"""The README's examples run and its command synopsis matches the parser.
+"""The README's examples run, its command synopsis matches the parser and
+its config block lists the config keys.
 
 Each ```python block runs in its own interpreter, as a reader would paste it;
 each `--flag` on a `mirnet-forge` line of a ```sh block must be an option of
-that command, so a deleted flag cannot stay documented.
+that command, so a deleted flag cannot stay documented; the ```ini block holds
+every config key, in order, at its default.
 """
 
 import os
@@ -14,7 +16,7 @@ from pathlib import Path
 import mirnet_forge
 import pytest
 
-from mirnet_forge import cli
+from mirnet_forge import cli, config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -31,6 +33,13 @@ for block in _blocks("sh"):
         words = line.split()
         if words[:1] == ["mirnet-forge"]:
             SYNOPSIS.setdefault(words[1], set()).update(re.findall(r"--[\w-]+", line))
+
+
+def test_config_block_lists_every_key_at_its_default():
+    block, = _blocks("ini")
+    keys = [line.split("#")[0].split("=")[0].strip() for line in block.splitlines()]
+    assert keys == list(config._KEYS)
+    assert config.parse_config(block) == config.RunConfig()
 
 
 def test_readme_has_examples_and_a_synopsis():

@@ -291,7 +291,7 @@ class TestPrelu:
         # d out / d slope on input -2 is -2.
         x = Tensor(np.full((1, 1, 1, 1), -2.0))
         slope = Tensor(np.array([0.25]))
-        rep = grad_check(lambda: T.tsum(T.prelu(x, slope)), slope)
+        rep = grad_check(lambda: T.tsum(T.prelu(x, slope)), [slope])
         assert rep.passed
         assert slope.grad[0] == pytest.approx(-2.0, abs=1e-7)
 
@@ -600,7 +600,7 @@ class TestBackward:
 @pytest.mark.parametrize("seed", range(3))
 def test_op_gradients_small_shapes(op, seed):
     x = randt((1, 3, 5, 6), seed=seed)
-    rep = grad_check(lambda: T.tsum(T.sigmoid(op(x))), x)
+    rep = grad_check(lambda: T.tsum(T.sigmoid(op(x))), [x])
     assert rep.passed, rep
 
 
@@ -637,10 +637,21 @@ def test_input_guard_messages(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("shape", [(3,), (0,), (1, 1, 2, 1)])
+def test_item_of_a_non_scalar_rejected(shape):
+    with pytest.raises(ContractError) as info:
+        Tensor(np.zeros(shape)).item()
+    assert str(info.value) == f"item() needs one element, got shape {shape}"
+
+
+def test_item_of_one_element():
+    assert Tensor(np.full((1, 1, 1, 1), 0.1, np.float32)).item() == float(np.float32(0.1))
+
+
 class TestGradCheck:
     def test_linear_function_exact(self):
         x = randt((1, 2, 3, 3), seed=22)
-        rep = grad_check(lambda: T.tsum(x), x)
+        rep = grad_check(lambda: T.tsum(x), [x])
         assert rep.passed
         assert rep.max_abs_err < 1e-10
 
@@ -651,15 +662,15 @@ class TestGradCheck:
             def corrupted_grad(t):
                 return T._record([t], t.data.copy(), lambda g: (rule(g),))
 
-            rep = grad_check(lambda: T.tsum(T.sigmoid(corrupted_grad(x))), x)
+            rep = grad_check(lambda: T.tsum(T.sigmoid(corrupted_grad(x))), [x])
             assert not rep.passed, rep
 
     def test_non_scalar_rejected(self):
         x = randt((1, 1, 2, 2))
         with pytest.raises(ContractError):
-            grad_check(lambda: T.sigmoid(x), x)
+            grad_check(lambda: T.sigmoid(x), [x])
 
-    def test_bad_stencil_order_rejected_before_f_runs(self):
+    def test_bad_arguments_rejected_before_f_runs(self):
         calls = []
 
         def f():
@@ -667,17 +678,25 @@ class TestGradCheck:
             return T.tsum(x)
 
         x = randt((1, 1, 2, 2))
-        for kwargs, message in [
-                (dict(fallbacks=[(1e-4, 4), (1e-4, 3)]), "order must be 2 or 4"),
-                (dict(max_coords=0), "max_coords must be >= 1"),
-                (dict(max_coords=-1), "max_coords must be >= 1"),
-                (dict(step=0.0), "step must be positive"),
-                (dict(step=-1e-5), "step must be positive"),
-                (dict(step=float("nan")), "step must be positive"),
-                (dict(fallbacks=[(1e-4, 4), (0.0, 2)]), "step must be positive")]:
+        for wrt, kwargs, message in [
+                ([x], dict(max_coords=0), "max_coords must be >= 1"),
+                ([x], dict(max_coords=-1), "max_coords must be >= 1"),
+                (x, {}, "wrt must be a list of tensors, got Tensor")]:
             with pytest.raises(ContractError, match=message):
-                grad_check(f, x, **kwargs)
+                grad_check(f, wrt, **kwargs)
         assert calls == []
+
+    def test_max_coords_picks_the_deep_stencils(self):
+        # f = |x| at x = 5e-6: STEP (1e-5) straddles the kink, so the full
+        # check reads rel err 0.5; a subsampled check retries the coordinate
+        # with the deep fallbacks, whose (1e-6, 2) stencil stays on one side
+        x = Tensor(np.full((1, 1, 1, 1), 5e-6))
+        slope = Tensor(np.array([-1.0]))
+        f = lambda: T.tsum(T.prelu(x, slope))
+        full = grad_check(f, [x])
+        assert not full.passed
+        assert full.max_rel_err == pytest.approx(0.5)
+        assert grad_check(f, [x], max_coords=1).passed
 
 
 class TestBilinearUpsample:
