@@ -157,22 +157,23 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # messages name the config keys, data.<field>
         if self.task not in ("denoise", "super_resolve", "enhance"):
-            raise ContractError(f"unknown task {self.task!r}")
+            raise ContractError(f"unknown data.task {self.task!r}")
         for name in ("noise_sigma", "exposure_gain", "gamma"):
             if not math.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ContractError(f"data.{name} must be finite, got {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
-            raise ContractError(f"seed must lie in [0, 2^64), got {self.seed}")
+            raise ContractError(f"data.seed must lie in [0, 2^64), got {self.seed}")
         if self.task == "denoise" and self.noise_sigma < 0:
-            raise ContractError("noise_sigma must be >= 0")
+            raise ContractError("data.noise_sigma must be >= 0")
         if self.task == "super_resolve" and self.scale_factor not in (2, 3, 4):
-            raise ContractError("scale_factor must be 2, 3 or 4")
+            raise ContractError("data.scale_factor must be 2, 3 or 4")
         if self.task == "enhance":
             if not (0.0 < self.exposure_gain <= 1.0):
-                raise ContractError("exposure_gain must lie in (0, 1]")
+                raise ContractError("data.exposure_gain must lie in (0, 1]")
             if self.gamma < 1.0:
-                raise ContractError("gamma must be >= 1")
+                raise ContractError("data.gamma must be >= 1")
 
 
 def add_gaussian_noise(image: ImageBuffer, sigma: float, seed: int) -> ImageBuffer:

@@ -41,9 +41,11 @@ def charbonnier_loss(pred: Tensor, target: Tensor,
     else:
         out = denominator = np.sqrt((d * d).sum() + eps2)
 
+    need_target = target.requires_grad
+
     def back(g):
         gp = g * d / denominator
-        return gp.astype(d.dtype), (-gp).astype(d.dtype)
+        return gp.astype(d.dtype), (-gp).astype(d.dtype) if need_target else None
 
     return T._record([pred, target], np.asarray(out, dtype=d.dtype), back)
 

@@ -25,9 +25,10 @@ class ContractError(ValueError):
 
 
 class Tensor:
-    """A dense float32 or float64 array with an optional gradient buffer."""
+    """A dense float32 or float64 array with an optional gradient buffer;
+    `node` is (recording, index) of the tape node that made it, or None."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -36,6 +37,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.node = None
 
     @property
     def shape(self):
@@ -58,11 +60,20 @@ _ACTIVE_TAPES: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of operations, each an (inputs, output, backward)
-    node; replaying it in reverse yields gradients."""
+    """Ordered record of operations; replaying it in reverse yields gradients.
+
+    A node is (inputs, shapes, backward).  It names each input by the index
+    of the node that made it on this recording, by the Tensor itself if it is
+    a leaf (it requires grad and was made elsewhere), or by None if it needs
+    no gradient, and keeps the inputs' shapes.  A node holds no tensor it
+    made, so an intermediate is freed once no backward rule reads it.
+    `backward` consumes the nodes and starts a new recording, on which the
+    tensors made before are leaves.  A recording is named by a fresh object,
+    so no two recordings of any tapes share a name."""
 
     def __init__(self):
         self.nodes: list[tuple] = []
+        self.recording = object()
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -74,12 +85,23 @@ class Tape:
 
 
 def _record(inputs, out_data, backward):
-    """Create the output tensor and, if a tape is live, record the op."""
+    """Create the output tensor and, if a tape is live and an input needs a
+    gradient, record the op."""
     out = Tensor(out_data)
-    tape = _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if not _ACTIVE_TAPES:
+        return out
+    tape = _ACTIVE_TAPES[-1]
+    # one loop, not generators: this runs once per op
+    rec, refs, shapes = tape.recording, [], []
+    for t in inputs:
+        node = t.node
+        refs.append(None if not t.requires_grad
+                    else node[1] if node is not None and node[0] is rec else t)
+        shapes.append(t.data.shape)
+    if refs.count(None) < len(refs):
         out.requires_grad = True
-        tape.nodes.append((tuple(inputs), out, backward))
+        out.node = (rec, len(tape.nodes))
+        tape.nodes.append((refs, shapes, backward))
     return out
 
 
@@ -89,35 +111,39 @@ def backward(tape: Tape, loss: Tensor):
     Leaves are the requires_grad inputs that no node on the tape produced;
     intermediate tensors keep grad None.  Leaves unreachable from the loss
     receive zero gradients.  The tape is consumed: each node is dropped as it
-    is replayed, freeing its activations, and the tape ends empty.  A node
-    whose backward returns a gradient of another shape than its input's
-    raises ContractError naming the op, instead of broadcasting it.
+    is replayed, freeing its activations, and the tape ends empty, ready for
+    a new recording.  A node whose backward returns a gradient of another
+    shape than its input's raises ContractError naming the op, instead of
+    broadcasting it.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     nodes = tape.nodes
-    outputs = {id(out) for _, out, _ in nodes}
-    if nodes and id(loss) not in outputs:
+    if not nodes:
+        return
+    rec, last = loss.node or (None, None)
+    if rec is not tape.recording or last >= len(nodes):
         raise ContractError("loss tensor was not produced on this tape")
-    leaves = {id(t): t for inputs, _, _ in nodes for t in inputs
-              if t.requires_grad and id(t) not in outputs}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    tape.recording = object()
+    # gradients of intermediates by node index, of leaves by the leaf
+    grads: dict[int, np.ndarray] = {last: np.ones_like(loss.data)}
+    leaves = dict.fromkeys(t for refs, _, _ in nodes for t in refs if isinstance(t, Tensor))
     while nodes:
-        inputs, out, back = nodes.pop()
-        g = grads.pop(id(out), None)
+        refs, shapes, back = nodes.pop()
+        g = grads.pop(len(nodes), None)
         if g is None:
             continue
-        for t, ig in zip(inputs, back(g)):
-            if ig is None or not t.requires_grad:
+        for ref, shape, ig in zip(refs, shapes, back(g)):
+            if ig is None or ref is None:
                 continue
-            if ig.shape != t.data.shape:
+            if ig.shape != shape:
                 op = back.__qualname__.rsplit(".<locals>.", 1)[0]
                 raise ContractError(f"{op} backward returned a gradient of shape "
-                                    f"{ig.shape} for an input of shape {t.data.shape}")
-            acc = grads.get(id(t))
-            grads[id(t)] = ig if acc is None else acc + ig
-    for key, t in leaves.items():
-        g = grads.get(key)
+                                    f"{ig.shape} for an input of shape {shape}")
+            acc = leaves if isinstance(ref, Tensor) else grads
+            prev = acc.get(ref)
+            acc[ref] = ig if prev is None else prev + ig
+    for t, g in leaves.items():
         t.grad = np.zeros_like(t.data) if g is None else g
 
 
@@ -137,9 +163,10 @@ def _unbroadcast(g, shape):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record([a, b], out, back)
 
@@ -167,19 +194,20 @@ def concat(tensors: list[Tensor]) -> Tensor:
 
 def tsum(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum())
+    shape, dtype = x.data.shape, x.data.dtype
 
     def back(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
 
     return _record([x], out, back)
 
 
 def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
+    n, shape, dtype = x.data.size, x.data.shape, x.data.dtype
     out = np.asarray(x.data.mean())
 
     def back(g):
-        return (np.broadcast_to(g / n, x.data.shape).astype(x.data.dtype, copy=True),)
+        return (np.broadcast_to(g / n, shape).astype(dtype, copy=True),)
 
     return _record([x], out, back)
 
@@ -301,9 +329,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out = out.reshape(n, cout, h, w)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
+    need_gx = x.requires_grad
 
     # The node keeps the input, not its columns (kh*kw times its size):
     # backward rebuilds them for gw and drops them before correlating g.
+    # An input that needs no gradient (the image) gets none.
     def back(g):
         g2 = g.reshape(n, cout, h * w)
         cols = _im2col(x.data, kh, kw)
@@ -313,12 +343,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         for i in range(1, n):
             gw += g2[i] @ cols[i].T
         del cols
-        # gx is the "same" correlation of g with the flipped kernel, its
-        # input and output channels swapped.  The kernel is copied
-        # channel-last (about half the cost of a channel-first copy), so on
-        # the im2col route it enters the GEMM as a transposed operand.
-        flipped = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1))
-        gx = _correlate(g, flipped.transpose(3, 0, 1, 2)).reshape(x.data.shape)
+        gx = None
+        if need_gx:
+            # gx is the "same" correlation of g with the flipped kernel, its
+            # input and output channels swapped.  The kernel is copied
+            # channel-last (about half the cost of a channel-first copy), so
+            # on the im2col route it enters the GEMM as a transposed operand.
+            flipped = np.ascontiguousarray(weight.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1))
+            gx = _correlate(g, flipped.transpose(3, 0, 1, 2)).reshape(x.data.shape)
         gw = gw.reshape(weight.data.shape)
         if bias is None:
             return gx, gw
@@ -341,9 +373,10 @@ def _nchw(x: Tensor) -> tuple[int, int, int, int]:
 def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = _nchw(x)
     out = x.data.mean(axis=(2, 3), keepdims=True)
+    dtype = x.data.dtype
 
     def back(g):
-        return (np.broadcast_to(g / (h * w), x.data.shape).astype(x.data.dtype, copy=True),)
+        return (np.broadcast_to(g / (h * w), (n, c, h, w)).astype(dtype, copy=True),)
 
     return _record([x], out, back)
 
@@ -380,13 +413,14 @@ def branch_softmax(logits: list[Tensor]) -> list[Tensor]:
     stack = stack - stack.max(axis=0, keepdims=True)
     e = np.exp(stack)
     s = e / e.sum(axis=0, keepdims=True)
+    k = len(logits)
 
     outs = []
-    for i in range(len(logits)):
+    for i in range(k):
         def back(g, i=i):
             return tuple(
                 g * s[i] * ((1.0 if j == i else 0.0) - s[j])
-                for j in range(len(logits)))
+                for j in range(k))
         outs.append(_record(list(logits), s[i].copy(), back))
     return outs
 

@@ -166,6 +166,16 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(config),
                          "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
 
+    def test_bad_data_setting_names_its_key(self, tmp_path, capsys):
+        # data.seed, not train.seed: the message reads like the config line
+        config, _ = _make_dataset(tmp_path / "data", config_text=BASE_CONFIG + "data.seed = -1\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: data.seed must lie in [0, 2^64), got -1\n")
+        assert not out.exists()
+
     def test_missing_manifest_key_exits_2(self, tmp_path):
         config, _ = _make_dataset(
             tmp_path / "data",

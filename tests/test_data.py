@@ -193,7 +193,7 @@ class TestSeeds:
     def test_spec_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ContractError) as info:
             DegradationSpec(seed=seed)
-        assert str(info.value) == f"seed must lie in [0, 2^64), got {seed}"
+        assert str(info.value) == f"data.seed must lie in [0, 2^64), got {seed}"
 
 
 class TestNoise:
@@ -285,13 +285,13 @@ class TestDegrade:
 
     def test_invalid_specs_rejected(self):
         for kwargs, message in (
-                (dict(task="sharpen"), "unknown task 'sharpen'"),
-                (dict(noise_sigma=-1.0), "noise_sigma must be >= 0"),
+                (dict(task="sharpen"), "unknown data.task 'sharpen'"),
+                (dict(noise_sigma=-1.0), "data.noise_sigma must be >= 0"),
                 (dict(task="super_resolve", scale_factor=5),
-                 "scale_factor must be 2, 3 or 4"),
+                 "data.scale_factor must be 2, 3 or 4"),
                 (dict(task="enhance", exposure_gain=0.0),
-                 "exposure_gain must lie in (0, 1]"),
-                (dict(task="enhance", gamma=0.5), "gamma must be >= 1")):
+                 "data.exposure_gain must lie in (0, 1]"),
+                (dict(task="enhance", gamma=0.5), "data.gamma must be >= 1")):
             with pytest.raises(ContractError) as info:
                 DegradationSpec(**kwargs)
             assert str(info.value) == message

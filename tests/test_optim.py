@@ -59,6 +59,17 @@ class TestCharbonnier:
         assert np.all(np.isfinite(pred.grad))
         assert np.all(pred.grad == 0.0)
 
+    def test_no_gradient_for_a_target_without_grad(self):
+        pred = Tensor(RNG(9).normal(size=(1, 2, 4, 4)), requires_grad=True)
+        target = Tensor(RNG(10).normal(size=(1, 2, 4, 4)))
+        with T.Tape() as tape:
+            charbonnier_loss(pred, target)
+        (_, _, back), = tape.nodes
+        gp, gt = back(np.asarray(1.0))
+        assert gt is None
+        d = pred.data - target.data
+        np.testing.assert_allclose(gp, d / (np.sqrt(d * d + 1e-6) * d.size), rtol=1e-12)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             charbonnier_loss(Tensor(np.zeros((1, 1, 2, 2))),

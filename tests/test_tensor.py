@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mirnet_forge import tensor as T
-from mirnet_forge.blocks import blur_pool
+from mirnet_forge.blocks import MRB, NetworkConfig, blur_pool, init_weights
 from mirnet_forge.tensor import ContractError, ShapeError, Tape, Tensor
 from mirnet_forge.verify import grad_check
 
@@ -73,7 +73,7 @@ class TestConv2d:
 
     def test_kxk_node_keeps_input_not_columns(self):
         # a 3x3 conv's im2col columns are 9x its input; the node keeps only
-        # the input (already allocated) and the output
+        # the input (already allocated), and the test holds the output
         x = randt((1, 8, 16, 16), seed=30)
         w = randt((8, 8, 3, 3), seed=31)
         w.requires_grad = True
@@ -88,6 +88,24 @@ class TestConv2d:
         assert len(tape.nodes) == 1
         assert retained < x.data.nbytes + out.data.nbytes + w.data.nbytes
 
+    def test_no_input_gradient_for_an_input_without_grad(self, im2col_calls):
+        # the image needs no gradient: backward builds the columns of x for
+        # gw and never those of g (5 channels, not 3) for gx
+        x = randt((2, 3, 6, 6), seed=32)
+        w = randt((5, 3, 3, 3), seed=33)
+        b = randt((5,), seed=34)
+        w.requires_grad = b.requires_grad = True
+        with Tape() as tape:
+            loss = T.tsum(T.conv2d(x, w, b))
+        del im2col_calls[:]
+        (_, _, back), _ = tape.nodes
+        gx, gw, gb = back(np.ones((2, 5, 6, 6)))
+        assert gx is None
+        assert im2col_calls == [x.shape]
+        T.backward(tape, loss)
+        assert x.grad is None
+        np.testing.assert_array_equal(w.grad, gw)
+        np.testing.assert_array_equal(b.grad, gb)
 
     @pytest.mark.parametrize("kernel", [(5, 5), (3, 5)], ids=["5x5", "3x5"])
     def test_gradients_match_finite_differences(self, kernel):
@@ -590,6 +608,74 @@ class TestBackward:
         f = lambda: T.tsum(T.sigmoid(T.conv2d(T.conv2d(x, w, b), w1, b1)))
         rep = grad_check(f, [x, w, b, w1, b1])
         assert rep.passed, rep
+
+
+class TestTapeNodes:
+    """A node keeps what its backward reads: the node index of each input made
+    on the recording, each leaf, the inputs' shapes and the closure."""
+
+    @pytest.mark.parametrize("op", [lambda h: T.add(h, h), T.bilinear_upsample2x,
+                                    T.replicate_pad1],
+                             ids=["add", "bilinear_up", "replicate_pad"])
+    def test_unread_intermediates_freed_before_backward(self, op):
+        x = randt((1, 2, 4, 4), seed=70)
+        c = randt((1, 2, 4, 4), seed=71)
+        x.requires_grad = True
+
+        def run():
+            with Tape() as tape:
+                h = T.mul(x, c)  # reads x and c, not h
+                y = op(h)        # reads neither h nor y
+                loss = T.tsum(y)  # reads y's shape only
+            return tape, loss, h, y
+
+        tape, loss, h, y = run()
+        assert all(ref is x or ref is None or isinstance(ref, int)
+                   for refs, _, _ in tape.nodes for ref in refs)
+        alive = [weakref.ref(h.data), weakref.ref(y.data)]
+        del h, y
+        assert [ref() for ref in alive] == [None, None]
+        T.backward(tape, loss)
+        freed = x.grad
+        tape, loss, h, y = run()
+        T.backward(tape, loss)
+        np.testing.assert_array_equal(freed, x.grad)
+
+    def test_tensor_of_an_earlier_recording_is_a_leaf(self):
+        x = randt((1, 2, 3, 3), seed=72)
+        c = randt((1, 2, 3, 3), seed=73)
+        x.requires_grad = True
+        with Tape() as tape:
+            h = T.mul(x, x)
+            loss = T.tsum(h)
+        T.backward(tape, loss)
+        first = x.grad
+        # h was made by node 0 of the first recording; node 0 of the second
+        # is mul(h, c), so routing h by its stale index would loop it back
+        with tape:
+            loss = T.tsum(T.mul(h, c))
+        (refs, _, _), _ = tape.nodes
+        assert refs[0] is h and refs[1] is None
+        T.backward(tape, loss)
+        np.testing.assert_array_equal(h.grad, c.data)
+        assert x.grad is first
+
+    def test_recorded_mrb_forward_holds_under_100_inputs(self):
+        # float32, 3 streams, 2 columns, 1x8x32x32: the nodes held 164x the
+        # input when each kept its input and output tensors, and 86x since
+        # each keeps what its backward reads
+        mrb = init_weights(MRB(NetworkConfig(n_streams=3, n_columns=2, base_channels=8)))
+        x = Tensor(np.random.default_rng(74).normal(0, 1, (1, 8, 32, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                mrb(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 393
+        assert held < 100 * x.data.nbytes
 
 
 @pytest.mark.parametrize("op", [
