@@ -65,10 +65,11 @@ def cosine_lr(step: int, train: TrainConfig) -> float:
 
 class Adam:
     """Adam with bias correction; state is keyed by parameter name and is not
-    checkpointed.  `step` updates m, v (in the parameter's dtype) and each
-    C-contiguous p.data in place, BLOCK elements at a time so the working set
-    stays in cache, with the textbook update's float operations in order.
-    """
+    checkpointed.  `step` reads (parameter, gradient) pairs from a stream such
+    as `tensor.gradients` and updates m, v (in the parameter's dtype) and each
+    C-contiguous p.data in place as each pair arrives, BLOCK elements at a
+    time, with the textbook update's float operations in order; a parameter
+    named by `init_state` that the stream leaves out gets a zero gradient."""
 
     BLOCK = 1 << 16
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -77,48 +78,54 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.names: dict[Tensor, str] = {}
 
     def init_state(self, params: dict[str, Tensor]):
-        """Allocate zero m and v for each parameter that has none yet."""
+        """Name each parameter that has no state yet; allocate zero m and v."""
         for name, p in params.items():
             if name not in self.m:
+                self.names[p] = name
                 self.m[name] = np.zeros(p.data.shape, p.data.dtype)
                 self.v[name] = np.zeros(p.data.shape, p.data.dtype)
 
-    def step(self, params: dict[str, Tensor], lr: float):
+    def step(self, grads, lr: float):
         if lr <= 0:
             raise ContractError("lr must be positive")
         self.t += 1
-        c1 = 1.0 - self.BETA1 ** self.t
-        c2 = 1.0 - self.BETA2 ** self.t
-        self.init_state(params)
-        for name, p in params.items():
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
-            if g.shape != p.data.shape:
-                raise ContractError(
-                    f"gradient shape {g.shape} misaligned with parameter "
-                    f"{name} of shape {p.data.shape}")
-            if not p.data.flags.c_contiguous:
-                # a copy would leave other references to p.data un-updated
-                raise ContractError(f"parameter {name} is not C-contiguous")
-            flat = [a.reshape(-1) for a in (g, self.m[name], self.v[name], p.data)]
-            scratch = np.empty((2, min(self.BLOCK, p.data.size)), p.data.dtype)
-            for start in range(0, p.data.size, self.BLOCK):
-                g, m, v, w = (a[start:start + self.BLOCK] for a in flat)
-                s, r = scratch[:, :w.size]
-                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
-                np.multiply(g, 1.0 - self.BETA1, out=s)
-                m *= self.BETA1
-                m += s
-                np.multiply(g, g, out=s)
-                s *= 1.0 - self.BETA2
-                v *= self.BETA2
-                v += s
-                # w -= lr (m / c1) / (sqrt(v / c2) + eps)
-                np.divide(m, c1, out=s)
-                np.divide(v, c2, out=r)
-                np.sqrt(r, out=r)
-                r += self.EPS
-                s *= lr
-                s /= r
-                w -= s
+        c1, c2 = 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
+        left = dict(self.names)
+        for p, g in grads:
+            if p not in left:
+                raise ContractError(f"gradient of {p} comes twice or names no parameter")
+            self._update(left.pop(p), p, g, lr, c1, c2)
+        for p, name in left.items():
+            self._update(name, p, np.zeros_like(p.data), lr, c1, c2)
+
+    def _update(self, name, p, g, lr, c1, c2):
+        if g.shape != p.data.shape:
+            raise ContractError(f"gradient shape {g.shape} misaligned with parameter "
+                                f"{name} of shape {p.data.shape}")
+        if not p.data.flags.c_contiguous:
+            # a copy would leave other references to p.data un-updated
+            raise ContractError(f"parameter {name} is not C-contiguous")
+        flat = [a.reshape(-1) for a in (g, self.m[name], self.v[name], p.data)]
+        scratch = np.empty((2, min(self.BLOCK, p.data.size)), p.data.dtype)
+        for start in range(0, p.data.size, self.BLOCK):
+            g, m, v, w = (a[start:start + self.BLOCK] for a in flat)
+            s, r = scratch[:, :w.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
+            np.multiply(g, 1.0 - self.BETA1, out=s)
+            m *= self.BETA1
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.BETA2
+            v *= self.BETA2
+            v += s
+            # w -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=s)
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += self.EPS
+            s *= lr
+            s /= r
+            w -= s

@@ -91,9 +91,6 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
         for step in range(cfg.train.total_steps):
             lr = O.cosine_lr(step, cfg.train)
             x, y = D.sample_batch(pairs, cfg.train, step)
-            # drop the last step's gradients so this forward reuses their memory
-            for p in params.values():
-                p.grad = None
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     with T.Tape() as tape:
@@ -106,8 +103,7 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
                     # allocated above the first tape, Adam's state keeps the memory
                     # that backward frees in the heap, so later forwards reuse it
                     adam.init_state(params)
-                    T.backward(tape, loss)
-                    adam.step(params, lr)
+                    adam.step(T.gradients(tape, loss), lr)
             except FloatingPointError as exc:
                 raise NumericalError(f"{exc} at step {step}") from exc
             log.write(f"{step},{lr:.10e},{value:.10e}\n")

@@ -67,7 +67,7 @@ class Tape:
     a leaf (it requires grad and was made elsewhere), or by None if it needs
     no gradient, and keeps the inputs' shapes.  A node holds no tensor it
     made, so an intermediate is freed once no backward rule reads it.
-    `backward` consumes the nodes and starts a new recording, on which the
+    `gradients` consumes the nodes and starts a new recording, on which the
     tensors made before are leaves.  A recording is named by a fresh object,
     so no two recordings of any tapes share a name."""
 
@@ -105,16 +105,15 @@ def _record(inputs, out_data, backward):
     return out
 
 
-def backward(tape: Tape, loss: Tensor):
-    """Propagate dLoss through the tape, filling .grad on its leaves.
-
-    Leaves are the requires_grad inputs that no node on the tape produced;
-    intermediate tensors keep grad None.  Leaves unreachable from the loss
-    receive zero gradients.  The tape is consumed: each node is dropped as it
-    is replayed, freeing its activations, and the tape ends empty, ready for
-    a new recording.  A node whose backward returns a gradient of another
-    shape than its input's raises ContractError naming the op, instead of
-    broadcasting it.
+def gradients(tape: Tape, loss: Tensor):
+    """Replay the tape in reverse, yielding (leaf, dLoss/dleaf) for each leaf
+    (a requires_grad input that no node produced) as soon as the earliest
+    node that names it is replayed, so a caller may apply and drop each
+    gradient while the replay goes on; unreachable leaves get zeros.  Each
+    node is dropped as it is replayed, freeing its activations, and the tape
+    ends empty, ready for a new recording.  A node whose backward returns a
+    gradient of another shape than its input's raises ContractError naming
+    the op, instead of broadcasting it.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -125,26 +124,34 @@ def backward(tape: Tape, loss: Tensor):
     if rec is not tape.recording or last >= len(nodes):
         raise ContractError("loss tensor was not produced on this tape")
     tape.recording = object()
+    # each leaf's earliest node: walking back, the last assignment wins
+    first = {t: i for i in reversed(range(len(nodes)))
+             for t in nodes[i][0] if isinstance(t, Tensor)}
     # gradients of intermediates by node index, of leaves by the leaf
-    grads: dict[int, np.ndarray] = {last: np.ones_like(loss.data)}
-    leaves = dict.fromkeys(t for refs, _, _ in nodes for t in refs if isinstance(t, Tensor))
+    grads: dict[int | Tensor, np.ndarray] = {last: np.ones_like(loss.data)}
     while nodes:
         refs, shapes, back = nodes.pop()
         g = grads.pop(len(nodes), None)
-        if g is None:
-            continue
-        for ref, shape, ig in zip(refs, shapes, back(g)):
+        for ref, shape, ig in zip(refs, shapes, () if g is None else back(g)):
             if ig is None or ref is None:
                 continue
             if ig.shape != shape:
                 op = back.__qualname__.rsplit(".<locals>.", 1)[0]
                 raise ContractError(f"{op} backward returned a gradient of shape "
                                     f"{ig.shape} for an input of shape {shape}")
-            acc = leaves if isinstance(ref, Tensor) else grads
-            prev = acc.get(ref)
-            acc[ref] = ig if prev is None else prev + ig
-    for t, g in leaves.items():
-        t.grad = np.zeros_like(t.data) if g is None else g
+            prev = grads.get(ref)
+            grads[ref] = ig if prev is None else prev + ig
+        for t in refs:
+            if first.get(t) == len(nodes):  # no node left names t
+                del first[t]
+                g = grads.pop(t, None)
+                yield t, np.zeros_like(t.data) if g is None else g
+
+
+def backward(tape: Tape, loss: Tensor):
+    """Set .grad on each leaf of the tape from `gradients(tape, loss)`."""
+    for t, g in gradients(tape, loss):
+        t.grad = g
 
 
 def _unbroadcast(g, shape):

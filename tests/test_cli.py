@@ -1,5 +1,6 @@
 """End-to-end command tests: train, eval, infer, gradcheck, ablate."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -231,6 +232,28 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "numerical failure: non-finite loss at step 0\n"
         assert (out / "loss_log.csv").read_text() == "step,lr,loss\n"
 
+    def test_each_step_ends_in_one_adam_step_of_two_positional_arguments(
+            self, tmp_path, monkeypatch):
+        # the benchmark's probe times a step from one Adam.step(adam, grads, lr)
+        # return to the next and a forward from MIRNet.__call__
+        events = []
+        call, step = B.MIRNet.__call__, O.Adam.step
+
+        def traced_call(net, image):
+            events.append("forward")
+            return call(net, image)
+
+        def traced_step(*args, **kwargs):
+            events.append(("step", len(args), sorted(kwargs), inspect.isgenerator(args[1])))
+            return step(*args, **kwargs)
+        monkeypatch.setattr(B.MIRNet, "__call__", traced_call)
+        monkeypatch.setattr(O.Adam, "step", traced_step)
+        config, _ = _make_dataset(tmp_path / "data")
+        net, _ = pipeline.run_training(pipeline.load_config(str(config)), tmp_path / "run")
+        assert events == ["forward", ("step", 3, [], True)] * 4
+        # the stream hands each gradient to Adam and keeps none on a parameter
+        assert all(p.grad is None for p in net.named_parameters().values())
+
 
 def _identity_checkpoint(tmp_path, config):
     """Checkpoint whose network is the exact identity (zeroed tail conv)."""
@@ -327,8 +350,9 @@ class TestEvalCommand:
             assert p.data.dtype == np.float32
             assert p.data.flags.writeable
             assert p.data.flags.c_contiguous and p.data.flags.aligned
-            p.grad = np.ones_like(p.data)
-        O.Adam().step(params, lr=1e-3)
+        adam = O.Adam()
+        adam.init_state(params)
+        adam.step([(p, np.ones_like(p.data)) for p in params.values()], 1e-3)
         for name, p in params.items():
             array, old = before[name]
             assert p.data is array

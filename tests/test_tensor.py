@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mirnet_forge import tensor as T
-from mirnet_forge.blocks import MRB, NetworkConfig, blur_pool, init_weights
+from mirnet_forge.blocks import MIRNet, MRB, NetworkConfig, blur_pool, init_weights
+from mirnet_forge.config import RunConfig
+from mirnet_forge.optim import charbonnier_loss
 from mirnet_forge.tensor import ContractError, ShapeError, Tape, Tensor
 from mirnet_forge.verify import grad_check
 
@@ -676,6 +678,68 @@ class TestTapeNodes:
             tracemalloc.stop()
         assert len(tape.nodes) == 393
         assert held < 100 * x.data.nbytes
+
+    def test_desk_network_records_108_nodes(self):
+        # the default network on a desk-train batch, loss included; traced
+        # training runs stream their gradients past backward, where the
+        # benchmark counts nodes, so the count is pinned here
+        net = MIRNet(RunConfig().network, seed=0)
+        x = Tensor(np.random.default_rng(75).random((4, 3, 32, 32), dtype=np.float32))
+        with Tape() as tape:
+            charbonnier_loss(net(x), Tensor(x.data.copy()))
+        assert len(tape.nodes) == 108
+
+
+class TestGradients:
+    """gradients(tape, loss) yields each leaf's gradient once the earliest
+    node that names it has been replayed, and holds none it has yielded."""
+
+    def test_leaf_yielded_after_its_earliest_node(self):
+        x = randt((1, 2, 5, 5), seed=80)
+        w = randt((2, 2, 3, 3), seed=81)
+        b = randt((2,), seed=82)
+        unused = randt((3,), seed=83)
+        for t in (w, b, unused):
+            t.requires_grad = True
+        with Tape() as tape:
+            h = T.conv2d(x, w, b)                          # node 0
+            T.tsum(unused)                                 # node 1, off the loss
+            h = T.conv2d(T.sigmoid(h), w, b)               # nodes 2, 3
+            loss = T.tsum(T.sigmoid(h))                    # nodes 4, 5
+        with Tape() as twin:
+            expected = T.tsum(T.sigmoid(T.conv2d(T.sigmoid(T.conv2d(x, w, b)), w, b)))
+        T.backward(twin, expected)
+        twin_grads = {id(t): t.grad for t in (w, b)}
+
+        stream, held = [], []
+        for t, g in T.gradients(tape, loss):
+            # the gradient yielded before this one was dropped by this loop
+            assert all(ref() is None for ref in held)
+            stream.append((t, len(tape.nodes)))
+            if t is unused:
+                np.testing.assert_array_equal(g, np.zeros(3))
+            else:
+                np.testing.assert_array_equal(g, twin_grads[id(t)])
+            held = [weakref.ref(g)]
+            del g
+        assert stream == [(unused, 1), (w, 0), (b, 0)]
+
+    def test_leaf_named_twice_by_one_node_yielded_once(self):
+        w = randt((2, 3), seed=84)
+        w.requires_grad = True
+        with Tape() as tape:
+            loss = T.tsum(T.mul(w, w))
+        (t, g), = T.gradients(tape, loss)
+        assert t is w
+        np.testing.assert_array_equal(g, 2 * w.data)
+
+    def test_gradients_set_no_grad(self):
+        w = randt((2, 3), seed=85)
+        w.requires_grad = True
+        with Tape() as tape:
+            loss = T.tsum(T.sigmoid(w))
+        assert [t for t, _ in T.gradients(tape, loss)] == [w]
+        assert w.grad is None and tape.nodes == []
 
 
 @pytest.mark.parametrize("op", [
