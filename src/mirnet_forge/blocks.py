@@ -2,7 +2,8 @@
 multi-scale residual blocks, recursive residual groups, and the full network.
 
 All blocks are plain containers of Tensors; forward methods compose the ops
-in `tensor`.  Parameter names follow the block path, e.g.
+in `tensor`, SKFF's select step being the one op `tensor.branch_softmax`.
+Parameter names follow the block path, e.g.
 "rrg0.mrb1.skff_final.upscale2.weight", which is also the checkpoint naming.
 Constructors take only shape arguments and allocate float32 parameters;
 `init_weights` is the one place that draws weights.
@@ -127,8 +128,7 @@ class PReLU(Module):
 
 
 def _branch_sum(branches) -> Tensor:
-    """Left-to-right sum of tensors; a generator's terms are made one at a
-    time, each just before the add that takes it."""
+    """Left-to-right sum of a list of tensors."""
     return reduce(T.add, branches)
 
 
@@ -147,9 +147,10 @@ class SKFF(Module):
     """Selective feature fusion of k equally-shaped streams.
 
     Fuse: sum the branches, pool globally, compress to a compact descriptor.
-    Select: per-branch descriptors, softmax across branches, convex
-    recombination.  Convolutions are bias-free; the compact descriptor uses a
-    single shared PReLU slope (total parameter count C*r + k*r*C + 1).
+    Select: per-branch descriptors, then one `branch_softmax` op: softmax
+    across branches and convex recombination.  Convolutions are bias-free;
+    the compact descriptor uses a single shared PReLU slope (total parameter
+    count C*r + k*r*C + 1).
     """
 
     def __init__(self, channels, n_branches):
@@ -164,16 +165,12 @@ class SKFF(Module):
         if len(branches) != self._n_branches:
             raise T.ContractError(
                 f"expected {self._n_branches} branches, got {len(branches)}")
-        shape = branches[0].data.shape
-        for b in branches[1:]:
-            if b.data.shape != shape:
-                raise ShapeError(
-                    f"branch shape mismatch: {b.data.shape} != {shape}")
+        if any(b.data.shape != branches[0].data.shape for b in branches):
+            raise ShapeError(f"branch shapes differ: {[b.data.shape for b in branches]}")
         if len(branches) == 1:
             return branches[0]
         z = self.act(self.downscale(T.global_avg_pool(_branch_sum(branches))))
-        weights = T.branch_softmax([up(z) for up in self.upscale])
-        return _branch_sum(T.mul(b, w) for b, w in zip(branches, weights))
+        return T.branch_softmax(branches, [up(z) for up in self.upscale])
 
 
 class ChannelAttention(Module):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,6 +92,9 @@ class Adam:
     def step(self, grads, lr: float):
         if lr <= 0:
             raise ContractError("lr must be positive")
+        if isinstance(grads, Mapping):  # iterating it would yield its keys
+            raise ContractError("step takes (parameter, gradient) pairs such as "
+                                "tensor.gradients(tape, loss), not a mapping")
         self.t += 1
         c1, c2 = 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
         left = dict(self.names)

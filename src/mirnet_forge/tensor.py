@@ -12,6 +12,8 @@ precision for finite-difference gradient checks.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -403,33 +405,35 @@ def channel_pool(x: Tensor) -> Tensor:
     return _record([x], out, back)
 
 
-def branch_softmax(logits: list[Tensor]) -> list[Tensor]:
-    """Softmax across branches at each (batch, channel) position.
+def branch_softmax(branches: list[Tensor], logits: list[Tensor]) -> Tensor:
+    """SKFF's select step: sum_i softmax_i(logits) * branches[i].
 
-    Inputs are k descriptor tensors of identical shape (typically N,C,1,1);
-    outputs sum to one across branches.  Computed with max subtraction.
+    The k branches share one NCHW shape and branch i's logit is (N, C, 1, 1);
+    the softmax runs across branches at each (batch, channel) position, with
+    max subtraction, and the products are added left to right.
     """
-    if len(logits) < 2:
-        raise ShapeError("branch_softmax needs at least two branches")
-    shape = logits[0].data.shape
-    for t in logits[1:]:
+    k = len(branches)
+    if k < 2 or len(logits) != k:
+        raise ShapeError(f"branch_softmax needs k >= 2 branches and k logits, "
+                         f"got {k} and {len(logits)}")
+    n, c, h, w = _nchw(branches[0])
+    for t, shape in [(b, (n, c, h, w)) for b in branches] + [(t, (n, c, 1, 1)) for t in logits]:
         if t.data.shape != shape:
-            raise ShapeError(
-                f"branch shape mismatch: {t.data.shape} != {shape}")
+            raise ShapeError(f"branch_softmax input shape {t.data.shape} != {shape}")
     stack = np.stack([t.data for t in logits], axis=0)
-    stack = stack - stack.max(axis=0, keepdims=True)
-    e = np.exp(stack)
+    e = np.exp(stack - stack.max(axis=0, keepdims=True))
     s = e / e.sum(axis=0, keepdims=True)
-    k = len(logits)
+    bd = [t.data for t in branches]
+    out = reduce(np.add, (b * si for b, si in zip(bd, s)))
 
-    outs = []
-    for i in range(k):
-        def back(g, i=i):
-            return tuple(
-                g * s[i] * ((1.0 if j == i else 0.0) - s[j])
-                for j in range(k))
-        outs.append(_record(list(logits), s[i].copy(), back))
-    return outs
+    def back(g):
+        gw = [_unbroadcast(g * b, (n, c, 1, 1)) for b in bd]
+        # logit j's terms are added from the last branch's to the first's
+        gl = [reduce(np.add, (gw[i] * s[i] * ((1.0 if i == j else 0.0) - s[j])
+                              for i in reversed(range(k)))) for j in range(k)]
+        return (*(g * si for si in s), *gl)
+
+    return _record([*branches, *logits], out, back)
 
 
 def _along(axis, index):

@@ -154,15 +154,8 @@ def _suite():
     block("bilinear_up", unary_case(T.bilinear_upsample2x))
 
     def softmax_case():
-        vs = [t(2, 4, 1, 1) for _ in range(3)]
-
-        def g(v):
-            outs = T.branch_softmax([v] + vs[1:])
-            acc = T.mul(outs[0], outs[0])
-            for o in outs[1:]:
-                acc = T.add(acc, T.mul(o, o))
-            return T.tmean(acc)
-        return g, vs
+        bs, logits = [t(2, 4, 3, 3) for _ in range(3)], [t(2, 4, 1, 1) for _ in range(3)]
+        return (lambda b: T.tmean(T.sigmoid(T.branch_softmax([b] + bs[1:], logits)))), bs + logits
     block("branch_softmax", softmax_case)
 
     def skff_case():

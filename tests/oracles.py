@@ -151,3 +151,22 @@ def blur_pool_loops(x):
                             acc += taps[ky] * taps[kx] * float(x[ni, ci, iy, ix])
                     out[ni, ci, oy, ox] = acc / 16.0
     return out
+
+
+def skff_select_loops(branches, logits):
+    """SKFF's select step one element at a time: at each (batch, channel)
+    position the softmax of the k logits, then each pixel's weighted sum of
+    the k branches.  `branches` are (N, C, H, W) arrays, `logits` (N, C, 1, 1)."""
+    n, c, h, w = branches[0].shape
+    out = np.zeros((n, c, h, w), dtype=np.float64)
+    for ni in range(n):
+        for ci in range(c):
+            vals = [float(l[ni, ci, 0, 0]) for l in logits]
+            top = max(vals)
+            exps = [np.exp(v - top) for v in vals]
+            weights = [e / sum(exps) for e in exps]
+            for y in range(h):
+                for x in range(w):
+                    out[ni, ci, y, x] = sum(wt * float(b[ni, ci, y, x])
+                                            for wt, b in zip(weights, branches))
+    return out

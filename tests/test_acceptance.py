@@ -164,13 +164,14 @@ def test_criterion_04_skff_algebra():
                     for i in range(k)]
         out = sk(branches)
 
-        # recompute the branch weights from the module's own descriptors
+        # recompute the branch weights' sum from the module's own
+        # descriptors: the select step applied to all-ones branches
         total = branches[0]
         for b in branches[1:]:
             total = T.add(total, b)
         z = sk.act(sk.downscale(T.global_avg_pool(total)))
-        weights = T.branch_softmax([up(z) for up in sk.upscale])
-        wsum = sum(w.data for w in weights)
+        ones = Tensor(np.ones_like(branches[0].data))
+        wsum = T.branch_softmax([ones] * k, [up(z) for up in sk.upscale]).data
         ok &= bool(np.all(np.abs(wsum - 1.0) <= 1e-6))
 
         stack = np.stack([b.data for b in branches])

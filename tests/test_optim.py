@@ -193,6 +193,16 @@ class TestAdam:
         with pytest.raises(ContractError):
             _named(p=p).step([(p, np.array([1.0]))], 0.0)
 
+    @pytest.mark.parametrize("name", ["w", "ab", "abc"])
+    def test_mapping_rejected_before_the_step_counts(self, name):
+        # iterating a {name: parameter} dict yields its names, which unpack
+        # into a pair or fail to by the length of the name
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        opt = _named(**{name: p})
+        with pytest.raises(ContractError, match=r"\(parameter, gradient\) pairs"):
+            opt.step({name: p}, 0.1)
+        assert opt.t == 0 and p.data[0] == 1.0
+
     def test_updates_buffers_in_place(self):
         # three blocks and a partial fourth; the in-place update must be bit
         # for bit the whole-array expression, evaluated in float32

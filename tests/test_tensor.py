@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import tracemalloc
 import weakref
 
@@ -6,14 +7,14 @@ import numpy as np
 import pytest
 
 from mirnet_forge import tensor as T
-from mirnet_forge.blocks import MIRNet, MRB, NetworkConfig, blur_pool, init_weights
+from mirnet_forge.blocks import MIRNet, MRB, SKFF, NetworkConfig, blur_pool, init_weights
 from mirnet_forge.config import RunConfig
 from mirnet_forge.optim import charbonnier_loss
 from mirnet_forge.tensor import ContractError, ShapeError, Tape, Tensor
 from mirnet_forge.verify import grad_check
 
 from oracles import (channel_pool_loops, conv2d_loops, sigmoid_loops,
-                     upsample2x_loops)
+                     skff_select_loops, upsample2x_loops)
 
 
 def randt(shape, seed=0, dtype=np.float64):
@@ -437,44 +438,112 @@ class TestChannelPool:
         np.testing.assert_array_equal(x.grad.reshape(-1), want)
 
 
+def _weight_nodes(logits):
+    """The branch weights as k ops, one per weight, each naming all k logits,
+    with the numpy softmax of `T.branch_softmax`: with `T.mul` and `T.add`,
+    the reference composite for that op's float operations."""
+    stack = np.stack([t.data for t in logits], axis=0)
+    e = np.exp(stack - stack.max(axis=0, keepdims=True))
+    s = e / e.sum(axis=0, keepdims=True)
+    k = len(logits)
+
+    def weight(i):
+        def back(g):
+            return tuple(g * s[i] * ((1.0 if j == i else 0.0) - s[j]) for j in range(k))
+        return T._record(list(logits), s[i].copy(), back)
+    return [weight(i) for i in range(k)]
+
+
 class TestBranchSoftmax:
+    """`branch_softmax(branches, logits)` is SKFF's select step: the sum of
+    the branches weighted by the softmax of their logits across branches."""
+
     def test_equal_logits(self):
-        vs = [Tensor(np.full((1, 2, 1, 1), 0.3)) for _ in range(3)]
-        outs = T.branch_softmax(vs)
-        for o in outs:
-            np.testing.assert_allclose(o.data, 1.0 / 3.0, rtol=1e-15)
+        bs = [randt((2, 3, 4, 4), seed=s) for s in (10, 11, 12)]
+        logits = [Tensor(np.full((2, 3, 1, 1), 0.3)) for _ in range(3)]
+        out = T.branch_softmax(bs, logits)
+        mean = (bs[0].data + bs[1].data + bs[2].data) / 3.0
+        np.testing.assert_allclose(out.data, mean, rtol=0, atol=1e-15)
 
     def test_known_weights(self):
+        # branch i is one at column i and zero elsewhere, so column i of the
+        # output is branch i's weight
         vals = [0.0, np.log(2.0), np.log(4.0)]
-        vs = [Tensor(np.full((1, 1, 1, 1), v)) for v in vals]
-        outs = T.branch_softmax(vs)
-        expected = [1 / 7, 2 / 7, 4 / 7]
-        for o, e in zip(outs, expected):
-            assert o.data[0, 0, 0, 0] == pytest.approx(e, rel=1e-12)
+        bs = [Tensor(np.eye(3)[i].reshape(1, 1, 1, 3)) for i in range(3)]
+        logits = [Tensor(np.full((1, 1, 1, 1), v)) for v in vals]
+        out = T.branch_softmax(bs, logits)
+        for got, e in zip(out.data[0, 0, 0], [1 / 7, 2 / 7, 4 / 7]):
+            assert got == pytest.approx(e, rel=1e-12)
 
     def test_shift_invariance(self):
-        vs = [randt((2, 3, 1, 1), seed=s) for s in (12, 13, 14)]
-        base = [o.data.copy() for o in T.branch_softmax(vs)]
-        shifted = [Tensor(v.data + 17.25) for v in vs]
-        for b, s in zip(base, T.branch_softmax(shifted)):
-            np.testing.assert_allclose(b, s.data, atol=1e-12)
+        bs = [randt((2, 3, 4, 4), seed=s) for s in (15, 16, 17)]
+        logits = [randt((2, 3, 1, 1), seed=s) for s in (12, 13, 14)]
+        base = T.branch_softmax(bs, logits).data
+        shifted = [Tensor(v.data + 17.25) for v in logits]
+        np.testing.assert_allclose(base, T.branch_softmax(bs, shifted).data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sums_to_one_and_open_interval(self, seed):
-        vs = [randt((2, 4, 1, 1), seed=100 + seed + 10 * k) for k in range(4)]
-        outs = T.branch_softmax(vs)
-        total = sum(o.data for o in outs)
-        np.testing.assert_allclose(total, 1.0, atol=1e-6)
-        for o in outs:
-            assert np.all(o.data > 0.0) and np.all(o.data < 1.0)
+        logits = [randt((2, 4, 1, 1), seed=100 + seed + 10 * k) for k in range(4)]
+        ones = [Tensor(np.ones((2, 4, 3, 3))) for _ in range(4)]
+        np.testing.assert_allclose(T.branch_softmax(ones, logits).data, 1.0, rtol=0, atol=1e-6)
+        # one-hot branches along the width read each weight out alone
+        hot = [Tensor(np.broadcast_to(np.eye(4)[i], (2, 4, 1, 4)).copy()) for i in range(4)]
+        weights = T.branch_softmax(hot, logits).data
+        assert np.all(weights > 0.0) and np.all(weights < 1.0)
+
+    def test_matches_loops_oracle(self):
+        bs = [randt((2, 3, 4, 5), seed=20 + i) for i in range(3)]
+        logits = [randt((2, 3, 1, 1), seed=30 + i) for i in range(3)]
+        want = skff_select_loops([b.data for b in bs], [t.data for t in logits])
+        np.testing.assert_allclose(T.branch_softmax(bs, logits).data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bit_identical_to_the_mul_add_composite(self, k):
+        # float32, as in training: the output and every branch and logit
+        # gradient equal those of k softmax ops, k muls and k - 1 adds
+        def run(select):
+            rng = np.random.default_rng(40 + k)
+            bs = [Tensor(rng.normal(size=(2, 4, 5, 5)).astype(np.float32), requires_grad=True)
+                  for _ in range(k)]
+            logits = [Tensor(rng.normal(size=(2, 4, 1, 1)).astype(np.float32), requires_grad=True)
+                      for _ in range(k)]
+            c = Tensor(rng.normal(size=(2, 4, 5, 5)).astype(np.float32))
+            with Tape() as tape:
+                out = select(bs, logits)
+                loss = T.tsum(T.mul(out, c))
+            T.backward(tape, loss)
+            return [out.data] + [t.grad for t in bs + logits]
+
+        def composite(bs, logits):
+            prods = [T.mul(b, w) for b, w in zip(bs, _weight_nodes(logits))]
+            return functools.reduce(T.add, prods)
+
+        fused, old = run(T.branch_softmax), run(composite)
+        assert all(a.dtype == np.float32 for a in fused)
+        for a, b in zip(fused, old):
+            np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch(self):
+        logits = [randt((1, 2, 1, 1)), randt((1, 2, 1, 1))]
         with pytest.raises(ShapeError):
-            T.branch_softmax([randt((1, 2, 1, 1)), randt((1, 3, 1, 1))])
+            T.branch_softmax([randt((1, 2, 3, 3)), randt((1, 2, 3, 2))], logits)
 
     def test_needs_two_branches(self):
         with pytest.raises(ShapeError):
-            T.branch_softmax([randt((1, 2, 1, 1))])
+            T.branch_softmax([randt((1, 2, 3, 3))], [randt((1, 2, 1, 1))])
+
+    def test_needs_one_logit_per_branch(self):
+        bs = [randt((1, 2, 3, 3)) for _ in range(3)]
+        with pytest.raises(ShapeError, match="got 3 and 2"):
+            T.branch_softmax(bs, [randt((1, 2, 1, 1)) for _ in range(2)])
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 3), (1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1), (1, 2)])
+    def test_logit_must_be_n_c_1_1(self, shape):
+        # no broadcasting: a logit the product would broadcast is refused too
+        bs = [randt((1, 2, 3, 3)) for _ in range(2)]
+        with pytest.raises(ShapeError, match="input shape"):
+            T.branch_softmax(bs, [randt((1, 2, 1, 1)), randt(shape)])
 
 
 def bad_identity(x):
@@ -664,8 +733,9 @@ class TestTapeNodes:
 
     def test_recorded_mrb_forward_holds_under_100_inputs(self):
         # float32, 3 streams, 2 columns, 1x8x32x32: the nodes held 164x the
-        # input when each kept its input and output tensors, and 86x since
-        # each keeps what its backward reads
+        # input when each kept its input and output tensors, 86x since each
+        # keeps what its backward reads, and 85x since SKFF's select step is
+        # one node
         mrb = init_weights(MRB(NetworkConfig(n_streams=3, n_columns=2, base_channels=8)))
         x = Tensor(np.random.default_rng(74).normal(0, 1, (1, 8, 32, 32)).astype(np.float32))
         tracemalloc.start()
@@ -676,10 +746,20 @@ class TestTapeNodes:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape.nodes) == 393
+        assert len(tape.nodes) == 344
         assert held < 100 * x.data.nbytes
 
-    def test_desk_network_records_108_nodes(self):
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_skff_records_2k_plus_3_nodes(self, k):
+        # fuse: k - 1 adds, the pool, the downscale conv and its PReLU;
+        # select: k upscale convs and one branch_softmax
+        sk = init_weights(SKFF(8, k))
+        bs = [Tensor(np.ones((1, 8, 4, 4), np.float32), requires_grad=True) for _ in range(k)]
+        with Tape() as tape:
+            sk(bs)
+        assert len(tape.nodes) == 2 * k + 3
+
+    def test_desk_network_records_96_nodes(self):
         # the default network on a desk-train batch, loss included; traced
         # training runs stream their gradients past backward, where the
         # benchmark counts nodes, so the count is pinned here
@@ -687,7 +767,7 @@ class TestTapeNodes:
         x = Tensor(np.random.default_rng(75).random((4, 3, 32, 32), dtype=np.float32))
         with Tape() as tape:
             charbonnier_loss(net(x), Tensor(x.data.copy()))
-        assert len(tape.nodes) == 108
+        assert len(tape.nodes) == 96
 
 
 class TestGradients:
