@@ -4,7 +4,7 @@ multi-scale residual blocks, recursive residual groups, and the full network.
 All blocks are plain containers of Tensors; forward methods compose the ops
 in `tensor`, SKFF's select step being the one op `tensor.branch_softmax`.
 Parameter names follow the block path, e.g.
-"rrg0.mrb1.skff_final.upscale2.weight", which is also the checkpoint naming.
+"rrg0.mrb1.skff_final.upscale.weight", which is also the checkpoint naming.
 Constructors take only shape arguments and allocate float32 parameters;
 `init_weights` is the one place that draws weights.
 """
@@ -147,10 +147,10 @@ class SKFF(Module):
     """Selective feature fusion of k equally-shaped streams.
 
     Fuse: sum the branches, pool globally, compress to a compact descriptor.
-    Select: per-branch descriptors, then one `branch_softmax` op: softmax
-    across branches and convex recombination.  Convolutions are bias-free;
-    the compact descriptor uses a single shared PReLU slope (total parameter
-    count C*r + k*r*C + 1).
+    Select: one upscale conv to the k per-branch descriptors stacked on
+    channels, then one `branch_softmax` op: softmax across branches and
+    convex recombination.  Convolutions are bias-free; the compact descriptor
+    uses one shared PReLU slope (total parameter count C*r + k*r*C + 1).
     """
 
     def __init__(self, channels, n_branches):
@@ -159,7 +159,7 @@ class SKFF(Module):
             r = bottleneck_width(channels)
             self.downscale = Conv2d(channels, r, 1, bias=False)
             self.act = PReLU(1)
-            self.upscale = [Conv2d(r, channels, 1, bias=False) for _ in range(n_branches)]
+            self.upscale = Conv2d(r, n_branches * channels, 1, bias=False)
 
     def __call__(self, branches: list[Tensor]) -> Tensor:
         if len(branches) != self._n_branches:
@@ -170,7 +170,7 @@ class SKFF(Module):
         if len(branches) == 1:
             return branches[0]
         z = self.act(self.downscale(T.global_avg_pool(_branch_sum(branches))))
-        return T.branch_softmax(branches, [up(z) for up in self.upscale])
+        return T.branch_softmax(branches, self.upscale(z))
 
 
 class ChannelAttention(Module):

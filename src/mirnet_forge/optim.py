@@ -90,8 +90,8 @@ class Adam:
                 self.v[name] = np.zeros(p.data.shape, p.data.dtype)
 
     def step(self, grads, lr: float):
-        if lr <= 0:
-            raise ContractError("lr must be positive")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ContractError(f"lr must be finite and positive, got {lr}")
         if isinstance(grads, Mapping):  # iterating it would yield its keys
             raise ContractError("step takes (parameter, gradient) pairs such as "
                                 "tensor.gradients(tape, loss), not a mapping")

@@ -405,35 +405,35 @@ def channel_pool(x: Tensor) -> Tensor:
     return _record([x], out, back)
 
 
-def branch_softmax(branches: list[Tensor], logits: list[Tensor]) -> Tensor:
+def branch_softmax(branches: list[Tensor], logits: Tensor) -> Tensor:
     """SKFF's select step: sum_i softmax_i(logits) * branches[i].
 
-    The k branches share one NCHW shape and branch i's logit is (N, C, 1, 1);
-    the softmax runs across branches at each (batch, channel) position, with
-    max subtraction, and the products are added left to right.
+    The k branches share one NCHW shape (N, C, H, W); `logits` is
+    (N, k*C, 1, 1), branch i's logits being channels [i*C, (i+1)*C).  The
+    softmax runs across branches at each (batch, channel) position, with max
+    subtraction, and the products are added left to right.
     """
     k = len(branches)
-    if k < 2 or len(logits) != k:
-        raise ShapeError(f"branch_softmax needs k >= 2 branches and k logits, "
-                         f"got {k} and {len(logits)}")
+    if k < 2:
+        raise ShapeError(f"branch_softmax needs k >= 2 branches, got {k}")
     n, c, h, w = _nchw(branches[0])
-    for t, shape in [(b, (n, c, h, w)) for b in branches] + [(t, (n, c, 1, 1)) for t in logits]:
+    for t, shape in [(b, (n, c, h, w)) for b in branches] + [(logits, (n, k * c, 1, 1))]:
         if t.data.shape != shape:
             raise ShapeError(f"branch_softmax input shape {t.data.shape} != {shape}")
-    stack = np.stack([t.data for t in logits], axis=0)
-    e = np.exp(stack - stack.max(axis=0, keepdims=True))
-    s = e / e.sum(axis=0, keepdims=True)
+    z = logits.data.reshape(n, k, c, 1, 1)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
     bd = [t.data for t in branches]
-    out = reduce(np.add, (b * si for b, si in zip(bd, s)))
+    out = reduce(np.add, (b * s[:, i] for i, b in enumerate(bd)))
 
     def back(g):
         gw = [_unbroadcast(g * b, (n, c, 1, 1)) for b in bd]
         # logit j's terms are added from the last branch's to the first's
-        gl = [reduce(np.add, (gw[i] * s[i] * ((1.0 if i == j else 0.0) - s[j])
+        gl = [reduce(np.add, (gw[i] * s[:, i] * ((1.0 if i == j else 0.0) - s[:, j])
                               for i in reversed(range(k)))) for j in range(k)]
-        return (*(g * si for si in s), *gl)
+        return (*(g * s[:, i] for i in range(k)), np.concatenate(gl, axis=1))
 
-    return _record([*branches, *logits], out, back)
+    return _record([*branches, logits], out, back)
 
 
 def _along(axis, index):

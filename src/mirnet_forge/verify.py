@@ -154,8 +154,8 @@ def _suite():
     block("bilinear_up", unary_case(T.bilinear_upsample2x))
 
     def softmax_case():
-        bs, logits = [t(2, 4, 3, 3) for _ in range(3)], [t(2, 4, 1, 1) for _ in range(3)]
-        return (lambda b: T.tmean(T.sigmoid(T.branch_softmax([b] + bs[1:], logits)))), bs + logits
+        bs, logits = [t(2, 4, 3, 3) for _ in range(3)], t(2, 12, 1, 1)
+        return (lambda b: T.tmean(T.sigmoid(T.branch_softmax([b] + bs[1:], logits)))), bs + [logits]
     block("branch_softmax", softmax_case)
 
     def skff_case():

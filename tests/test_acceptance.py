@@ -171,7 +171,7 @@ def test_criterion_04_skff_algebra():
             total = T.add(total, b)
         z = sk.act(sk.downscale(T.global_avg_pool(total)))
         ones = Tensor(np.ones_like(branches[0].data))
-        wsum = T.branch_softmax([ones] * k, [up(z) for up in sk.upscale]).data
+        wsum = T.branch_softmax([ones] * k, sk.upscale(z)).data
         ok &= bool(np.all(np.abs(wsum - 1.0) <= 1e-6))
 
         stack = np.stack([b.data for b in branches])

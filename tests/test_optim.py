@@ -188,10 +188,14 @@ class TestAdam:
         with pytest.raises(ContractError, match="misaligned with parameter p"):
             _named(p=p).step([(p, np.array([1.0]))], 0.1)
 
-    def test_nonpositive_lr_rejected(self):
+    @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+    def test_nonpositive_lr_rejected(self, lr):
+        # NaN and inf pass an `lr <= 0` check and turn every parameter into NaN
         p = Tensor(np.array([1.0]), requires_grad=True)
-        with pytest.raises(ContractError):
-            _named(p=p).step([(p, np.array([1.0]))], 0.0)
+        opt = _named(p=p)
+        with pytest.raises(ContractError, match="lr must be finite and positive"):
+            opt.step([(p, np.array([1.0]))], lr)
+        assert opt.t == 0 and p.data[0] == 1.0
 
     @pytest.mark.parametrize("name", ["w", "ab", "abc"])
     def test_mapping_rejected_before_the_step_counts(self, name):

@@ -456,11 +456,12 @@ def _weight_nodes(logits):
 
 class TestBranchSoftmax:
     """`branch_softmax(branches, logits)` is SKFF's select step: the sum of
-    the branches weighted by the softmax of their logits across branches."""
+    the branches weighted by the softmax of their logits across branches;
+    `logits` is (N, k*C, 1, 1), branch i's logits channels [i*C, (i+1)*C)."""
 
     def test_equal_logits(self):
         bs = [randt((2, 3, 4, 4), seed=s) for s in (10, 11, 12)]
-        logits = [Tensor(np.full((2, 3, 1, 1), 0.3)) for _ in range(3)]
+        logits = Tensor(np.full((2, 9, 1, 1), 0.3))
         out = T.branch_softmax(bs, logits)
         mean = (bs[0].data + bs[1].data + bs[2].data) / 3.0
         np.testing.assert_allclose(out.data, mean, rtol=0, atol=1e-15)
@@ -470,21 +471,23 @@ class TestBranchSoftmax:
         # output is branch i's weight
         vals = [0.0, np.log(2.0), np.log(4.0)]
         bs = [Tensor(np.eye(3)[i].reshape(1, 1, 1, 3)) for i in range(3)]
-        logits = [Tensor(np.full((1, 1, 1, 1), v)) for v in vals]
+        logits = Tensor(np.array(vals).reshape(1, 3, 1, 1))
         out = T.branch_softmax(bs, logits)
         for got, e in zip(out.data[0, 0, 0], [1 / 7, 2 / 7, 4 / 7]):
             assert got == pytest.approx(e, rel=1e-12)
 
     def test_shift_invariance(self):
         bs = [randt((2, 3, 4, 4), seed=s) for s in (15, 16, 17)]
-        logits = [randt((2, 3, 1, 1), seed=s) for s in (12, 13, 14)]
+        logits = Tensor(np.concatenate([randt((2, 3, 1, 1), seed=s).data for s in (12, 13, 14)],
+                                       axis=1))
         base = T.branch_softmax(bs, logits).data
-        shifted = [Tensor(v.data + 17.25) for v in logits]
+        shifted = Tensor(logits.data + 17.25)
         np.testing.assert_allclose(base, T.branch_softmax(bs, shifted).data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sums_to_one_and_open_interval(self, seed):
-        logits = [randt((2, 4, 1, 1), seed=100 + seed + 10 * k) for k in range(4)]
+        logits = Tensor(np.concatenate(
+            [randt((2, 4, 1, 1), seed=100 + seed + 10 * k).data for k in range(4)], axis=1))
         ones = [Tensor(np.ones((2, 4, 3, 3))) for _ in range(4)]
         np.testing.assert_allclose(T.branch_softmax(ones, logits).data, 1.0, rtol=0, atol=1e-6)
         # one-hot branches along the width read each weight out alone
@@ -494,56 +497,64 @@ class TestBranchSoftmax:
 
     def test_matches_loops_oracle(self):
         bs = [randt((2, 3, 4, 5), seed=20 + i) for i in range(3)]
-        logits = [randt((2, 3, 1, 1), seed=30 + i) for i in range(3)]
-        want = skff_select_loops([b.data for b in bs], [t.data for t in logits])
+        logits = Tensor(np.concatenate([randt((2, 3, 1, 1), seed=30 + i).data for i in range(3)],
+                                       axis=1))
+        want = skff_select_loops([b.data for b in bs], np.split(logits.data, 3, axis=1))
         np.testing.assert_allclose(T.branch_softmax(bs, logits).data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_bit_identical_to_the_mul_add_composite(self, k):
-        # float32, as in training: the output and every branch and logit
-        # gradient equal those of k softmax ops, k muls and k - 1 adds
-        def run(select):
+        # float32, as in training: the output, every branch gradient and the
+        # logits' gradient equal those of k softmax ops, k muls and k - 1 adds
+        # on k logit tensors, whose k gradients are concatenated on channels
+        def run(fused):
             rng = np.random.default_rng(40 + k)
             bs = [Tensor(rng.normal(size=(2, 4, 5, 5)).astype(np.float32), requires_grad=True)
                   for _ in range(k)]
-            logits = [Tensor(rng.normal(size=(2, 4, 1, 1)).astype(np.float32), requires_grad=True)
-                      for _ in range(k)]
+            zs = [rng.normal(size=(2, 4, 1, 1)).astype(np.float32) for _ in range(k)]
+            logits = ([Tensor(np.concatenate(zs, axis=1), requires_grad=True)] if fused
+                      else [Tensor(z, requires_grad=True) for z in zs])
             c = Tensor(rng.normal(size=(2, 4, 5, 5)).astype(np.float32))
             with Tape() as tape:
-                out = select(bs, logits)
+                out = T.branch_softmax(bs, logits[0]) if fused else composite(bs, logits)
                 loss = T.tsum(T.mul(out, c))
             T.backward(tape, loss)
-            return [out.data] + [t.grad for t in bs + logits]
+            return [out.data] + [t.grad for t in bs] + [np.concatenate([t.grad for t in logits],
+                                                                       axis=1)]
 
         def composite(bs, logits):
             prods = [T.mul(b, w) for b, w in zip(bs, _weight_nodes(logits))]
             return functools.reduce(T.add, prods)
 
-        fused, old = run(T.branch_softmax), run(composite)
+        fused, old = run(True), run(False)
         assert all(a.dtype == np.float32 for a in fused)
+        assert fused[-1].shape == (2, 4 * k, 1, 1)
         for a, b in zip(fused, old):
             np.testing.assert_array_equal(a, b)
 
     def test_shape_mismatch(self):
-        logits = [randt((1, 2, 1, 1)), randt((1, 2, 1, 1))]
+        logits = randt((1, 4, 1, 1))
         with pytest.raises(ShapeError):
             T.branch_softmax([randt((1, 2, 3, 3)), randt((1, 2, 3, 2))], logits)
 
     def test_needs_two_branches(self):
         with pytest.raises(ShapeError):
-            T.branch_softmax([randt((1, 2, 3, 3))], [randt((1, 2, 1, 1))])
+            T.branch_softmax([randt((1, 2, 3, 3))], randt((1, 2, 1, 1)))
 
     def test_needs_one_logit_per_branch(self):
+        # two branches' logits for three branches
         bs = [randt((1, 2, 3, 3)) for _ in range(3)]
-        with pytest.raises(ShapeError, match="got 3 and 2"):
-            T.branch_softmax(bs, [randt((1, 2, 1, 1)) for _ in range(2)])
+        with pytest.raises(ShapeError, match=r"\(1, 4, 1, 1\) != \(1, 6, 1, 1\)"):
+            T.branch_softmax(bs, randt((1, 4, 1, 1)))
 
-    @pytest.mark.parametrize("shape", [(1, 2, 3, 3), (1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1), (1, 2)])
+    @pytest.mark.parametrize("shape", [(1, 4, 3, 3), (1, 1, 1, 1), (1, 2, 1, 1), (2, 4, 1, 1),
+                                       (1, 4, 1), (1, 4)])
     def test_logit_must_be_n_c_1_1(self, shape):
-        # no broadcasting: a logit the product would broadcast is refused too
+        # the logits must be (N, k*C, 1, 1) exactly: one branch's channels,
+        # or a shape the products would broadcast, is refused
         bs = [randt((1, 2, 3, 3)) for _ in range(2)]
         with pytest.raises(ShapeError, match="input shape"):
-            T.branch_softmax(bs, [randt((1, 2, 1, 1)), randt(shape)])
+            T.branch_softmax(bs, randt(shape))
 
 
 def bad_identity(x):
@@ -746,28 +757,34 @@ class TestTapeNodes:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape.nodes) == 344
+        assert len(tape.nodes) == 330
         assert held < 100 * x.data.nbytes
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_skff_records_2k_plus_3_nodes(self, k):
+    def test_skff_records_k_plus_4_nodes(self, k):
         # fuse: k - 1 adds, the pool, the downscale conv and its PReLU;
-        # select: k upscale convs and one branch_softmax
+        # select: one upscale conv and one branch_softmax
         sk = init_weights(SKFF(8, k))
         bs = [Tensor(np.ones((1, 8, 4, 4), np.float32), requires_grad=True) for _ in range(k)]
         with Tape() as tape:
             sk(bs)
-        assert len(tape.nodes) == 2 * k + 3
+        assert len(tape.nodes) == k + 4
 
-    def test_desk_network_records_96_nodes(self):
-        # the default network on a desk-train batch, loss included; traced
-        # training runs stream their gradients past backward, where the
-        # benchmark counts nodes, so the count is pinned here
-        net = MIRNet(RunConfig().network, seed=0)
-        x = Tensor(np.random.default_rng(75).random((4, 3, 32, 32), dtype=np.float32))
+    @pytest.mark.parametrize("cfg,batch,nodes", [
+        (RunConfig().network, 4, 93),
+        # widths do not change the graph: the 64-channel reference network
+        # records as many nodes
+        (NetworkConfig(base_channels=8), 1, 2017),
+    ], ids=["desk", "reference_topology"])
+    def test_network_records_nodes(self, cfg, batch, nodes):
+        # the network on a benchmark batch, loss included; traced training
+        # runs stream their gradients past backward, where the benchmark
+        # counts nodes, so the counts are pinned here
+        net = MIRNet(cfg, seed=0)
+        x = Tensor(np.random.default_rng(75).random((batch, 3, 32, 32), dtype=np.float32))
         with Tape() as tape:
             charbonnier_loss(net(x), Tensor(x.data.copy()))
-        assert len(tape.nodes) == 96
+        assert len(tape.nodes) == nodes
 
 
 class TestGradients:
