@@ -2,7 +2,8 @@
 multi-scale residual blocks, recursive residual groups, and the full network.
 
 All blocks are plain containers of Tensors; forward methods compose the ops
-in `tensor`, SKFF's select step being the one op `tensor.branch_softmax`.
+in `tensor`, SKFF's select step being the one op `tensor.branch_softmax` and
+anti-aliased downsampling the one op `tensor.blur_pool`, re-exported here.
 Parameter names follow the block path, e.g.
 "rrg0.mrb1.skff_final.upscale.weight", which is also the checkpoint naming.
 Constructors take only shape arguments and allocate float32 parameters;
@@ -17,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, blur_pool
 
 #: The network restores 8-bit RGB images.
 IMAGE_CHANNELS = 3
@@ -130,17 +131,6 @@ class PReLU(Module):
 def _branch_sum(branches) -> Tensor:
     """Left-to-right sum of a list of tensors."""
     return reduce(T.add, branches)
-
-
-def blur_pool(x: Tensor) -> Tensor:
-    """Anti-aliased downsampling: 3x3 binomial blur then stride-2 subsampling.
-
-    Edge-replicate padding keeps the blur a weighted average at the borders,
-    so constant planes stay constant after downsampling.  The blur is the
-    fixed depthwise [1, 2, 1] / 4 stencil applied separably, evaluated only
-    at the kept positions.
-    """
-    return T.binomial_stride2(T.replicate_pad1(x))
 
 
 class SKFF(Module):

@@ -263,6 +263,10 @@ def sample_batch(pairs: list[tuple[ImageBuffer, ImageBuffer]],
     and target.
     """
     ps = train.patch_size
+    if not pairs:
+        raise ContractError("sample_batch needs at least one pair")
+    if not 0 <= batch_index < 2**64:
+        raise ContractError(f"batch_index must lie in [0, 2^64), got {batch_index}")
     check_pairs(pairs, ps)
     rng = _rng(train.seed, batch_index)
     xs, ys = [], []

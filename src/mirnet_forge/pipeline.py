@@ -186,7 +186,8 @@ def run_eval(cfg: RunConfig, checkpoint_path: str,
     net = load_network(cfg, checkpoint_path)
     mode = cfg.eval.channel_mode
     rows, baseline = [], []
-    for name, inp, tgt in build_pairs(cfg, manifest_path or cfg.data.manifest):
+    manifest = cfg.data.manifest if manifest_path is None else manifest_path
+    for name, inp, tgt in build_pairs(cfg, manifest):
         restored = restore_image(net, inp)
         rows.append((name, M.psnr(restored, tgt, mode), M.ssim(restored, tgt, mode)))
         baseline.append((M.psnr(inp, tgt, mode), M.ssim(inp, tgt, mode)))

@@ -8,11 +8,17 @@ so that `backward(tape, loss)` can replay the tape in reverse.
 Values are immutable once an op returns; gradient buffers are the only thing
 mutated during backward.  Single precision is used for training, double
 precision for finite-difference gradient checks.
+
+Resampling (padding, blur pooling, upsampling) is, per axis and input extent,
+a table of taps (weight, output slice, input slice), out[o] += weight * x[i],
+the two slices equally long or both empty.  `_resample` applies the table along
+each axis as one node, whose backward swaps each tap's slices, axes reversed.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -319,7 +325,7 @@ def _correlate(xd, wd):
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation at stride 1, zero-padded by half the (odd) kernel
     so the output keeps the input's extent (deep-learning convention).
-    Every downsampling in the network is done by `binomial_stride2`."""
+    Every downsampling in the network is done by `blur_pool`."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
     n, cin, h, w = x.data.shape
@@ -436,101 +442,85 @@ def branch_softmax(branches: list[Tensor], logits: Tensor) -> Tensor:
     return _record([*branches, logits], out, back)
 
 
-def _along(axis, index):
-    """Index tuple selecting `index` on `axis` and everything on earlier axes."""
-    return (slice(None),) * axis + (index,)
+def _pad_taps(e):
+    """Replicate the first and last entry once: extent e -> e + 2."""
+    return e + 2, ((1.0, slice(1, e + 1), slice(0, e)), (1.0, slice(0, 1), slice(0, 1)),
+                   (1.0, slice(e + 1, e + 2), slice(e - 1, e)))
 
 
-def _fold_edges(g, axis):
-    """Adjoint of replicating the first and last entry once along `axis`."""
-    gx = g[_along(axis, slice(1, -1))].copy()
-    gx[_along(axis, slice(0, 1))] += g[_along(axis, slice(0, 1))]
-    gx[_along(axis, slice(-1, None))] += g[_along(axis, slice(-1, None))]
-    return gx
+def _blur_taps(e):
+    """[1, 2, 1] / 4 centred on every even entry, the ends clamped: extent e ->
+    ceil(e / 2), output i being 0.25 x[2i - 1] + 0.25 x[2i + 1] + 0.5 x[2i]."""
+    m, k = (e + 1) // 2, e // 2  # the first k outputs have 2i + 1 inside
+    return m, ((0.25, slice(1, m), slice(1, 2 * m - 2, 2)), (0.25, slice(0, 1), slice(0, 1)),
+               (0.25, slice(0, k), slice(1, 2 * k, 2)), (0.25, slice(k, m), slice(2 * k, e)),
+               (0.5, slice(0, m), slice(0, 2 * m - 1, 2)))
+
+
+def _upsample_taps(e):
+    """2x half-pixel linear interpolation, the ends clamped: output 2i + phase
+    is 0.75 x[i] + 0.25 x[j], where j = i - 1 for phase 0 and i + 1 for phase 1."""
+    n = 2 * e
+    return n, ((0.75, slice(0, n, 2), slice(0, e)), (0.75, slice(1, n, 2), slice(0, e)),
+               (0.25, slice(2, n, 2), slice(0, e - 1)), (0.25, slice(0, 1), slice(0, 1)),
+               (0.25, slice(1, n - 2, 2), slice(1, e)), (0.25, slice(n - 1, n), slice(e - 1, e)))
+
+
+@lru_cache(maxsize=None)
+def _plan(taps, extent, adjoint):
+    """`taps(extent)`, or its adjoint, as (output extent, allocator, groups).  A
+    group (weight, output slice, input slices, assign) assigns the scaled sum of
+    a run of taps sharing a weight and output slice that no earlier group wrote,
+    or adds one tap; only an entry first added to, or never written, needs zeros."""
+    size, table = taps(extent)
+    if adjoint:
+        size, table = extent, [(w, i, o) for w, o, i in table]
+    written, assigned, groups = np.zeros(size, bool), np.zeros(size, bool), []
+    for (w, o), run in groupby(table, key=lambda tap: tap[:2]):
+        ins, fresh = tuple(i for _, _, i in run), not written[o].any()
+        groups += [(w, o, ins, True)] if fresh else [(w, o, (i,), False) for i in ins]
+        assigned[o] |= fresh
+        written[o] = True
+    return size, np.empty if assigned.all() else np.zeros, tuple(groups)
+
+
+def _resample(x: Tensor, taps, axes) -> Tensor:
+    """Apply the tables `taps` along each of `axes` in turn, as one node that
+    keeps only the input's shape; its backward applies the adjoint tables
+    along the axes in reverse order, so no op writes its own adjoint."""
+    shape = _nchw(x)
+
+    def run(d, adjoint):
+        for axis in reversed(axes) if adjoint else axes:
+            size, new, groups = _plan(taps, shape[axis], adjoint)
+            out = new(d.shape[:axis] + (size,) + d.shape[axis + 1:], d.dtype)
+            src, dsts = np.moveaxis(d, axis, 0), np.moveaxis(out, axis, 0)
+            for w, o, ins, assign in groups:
+                v, dst = reduce(np.add, (src[i] for i in ins)), dsts[o]
+                if assign:
+                    np.multiply(v, w, out=dst)
+                else:
+                    dst += w * v
+            d = out
+        return d
+
+    return _record([x], run(x.data, False), lambda g: (run(g, True),))
 
 
 def replicate_pad1(x: Tensor) -> Tensor:
-    """Pad H and W by one pixel on each side, replicating edge values."""
-    _nchw(x)
-    out = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
-
-    def back(g):
-        return (_fold_edges(_fold_edges(g, 2), 3),)
-
-    return _record([x], out, back)
+    """Pad H and W by one pixel on each side, replicating edge values.  No
+    network code calls it, since `blur_pool` clamps its own ends; it stays
+    because the benchmark's tracer (`perfbench/tracing.py`) times it by name."""
+    return _resample(x, _pad_taps, (3, 2))
 
 
-def _every_other(axis, first, count):
-    """Index of `count` entries along `axis`, from `first` in steps of two."""
-    return _along(axis, slice(first, first + 2 * count - 1, 2))
-
-
-def _binomial_stride2(d, axis):
-    """[1, 2, 1] / 4 along `axis`, evaluated at the even (valid) positions."""
-    m = (d.shape[axis] - 1) // 2
-    out = d[_every_other(axis, 0, m)] + d[_every_other(axis, 2, m)]
-    out *= 0.25
-    out += 0.5 * d[_every_other(axis, 1, m)]
-    return out
-
-
-def _binomial_stride2_adjoint(g, axis, extent):
-    m = g.shape[axis]
-    gx = np.zeros(g.shape[:axis] + (extent,) + g.shape[axis + 1:], g.dtype)
-    quarter = 0.25 * g
-    gx[_every_other(axis, 0, m)] = quarter
-    gx[_every_other(axis, 2, m)] += quarter
-    gx[_every_other(axis, 1, m)] = 0.5 * g
-    return gx
-
-
-def binomial_stride2(x: Tensor) -> Tensor:
-    """Separable [1, 2, 1] / 4 blur on every channel, sampled at stride 2
-    without padding: extent e maps to (e - 3) // 2 + 1."""
-    n, c, h, w = _nchw(x)
-    if h < 3 or w < 3:
-        raise ShapeError(f"binomial_stride2 needs extents >= 3, got {h}x{w}")
-    rows = _binomial_stride2(x.data, 2)
-    out = _binomial_stride2(rows, 3)
-
-    def back(g):
-        g_rows = _binomial_stride2_adjoint(g, 3, w)
-        return (_binomial_stride2_adjoint(g_rows, 2, h),)
-
-    return _record([x], out, back)
-
-
-# 2x half-pixel linear interpolation along one axis: output 2i + phase is
-# 0.75 x[i] + 0.25 x[j], where j = i - 1 for phase 0 and i + 1 for phase 1,
-# clamped to the ends.  Entries: (phase, slice of i, matching slice of j).
-_UPSAMPLE_TAPS = ((0, slice(1, None), slice(None, -1)), (0, slice(0, 1), slice(0, 1)),
-                  (1, slice(None, -1), slice(1, None)), (1, slice(-1, None), slice(-1, None)))
-
-
-def _upsample2x(d, axis):
-    near, far = 0.75 * d, 0.25 * d
-    pair = np.empty(d.shape[:axis + 1] + (2,) + d.shape[axis + 1:], d.dtype)
-    for phase, i, j in _UPSAMPLE_TAPS:
-        np.add(near[_along(axis, i)], far[_along(axis, j)],
-               out=pair[_along(axis + 1, phase)][_along(axis, i)])
-    return pair.reshape(d.shape[:axis] + (2 * d.shape[axis],) + d.shape[axis + 1:])
-
-
-def _upsample2x_adjoint(g, axis):
-    pair = g.reshape(g.shape[:axis] + (g.shape[axis] // 2, 2) + g.shape[axis + 1:])
-    gx = pair[_along(axis + 1, 0)] + pair[_along(axis + 1, 1)]
-    gx *= 0.75
-    for phase, i, j in _UPSAMPLE_TAPS:
-        gx[_along(axis, j)] += 0.25 * pair[_along(axis + 1, phase)][_along(axis, i)]
-    return gx
+def blur_pool(x: Tensor) -> Tensor:
+    """Anti-aliased 2x downsampling (BlurPool): the separable 3x3 binomial
+    blur [1, 2, 1] / 4 on every channel, edges replicated, evaluated only at
+    the even positions it keeps, so extent e maps to ceil(e / 2)."""
+    return _resample(x, _blur_taps, (2, 3))
 
 
 def bilinear_upsample2x(x: Tensor) -> Tensor:
     """2x bilinear upsampling with half-pixel sampling and clamped edges."""
-    _nchw(x)
-    out = _upsample2x(_upsample2x(x.data, 3), 2)
-
-    def back(g):
-        return (_upsample2x_adjoint(_upsample2x_adjoint(g, 2), 3),)
-
-    return _record([x], out, back)
+    return _resample(x, _upsample_taps, (3, 2))

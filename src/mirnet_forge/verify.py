@@ -152,6 +152,7 @@ def _suite():
     block("gap", unary_case(T.global_avg_pool))
     block("channel_pool", unary_case(T.channel_pool))
     block("bilinear_up", unary_case(T.bilinear_upsample2x))
+    block("blur_pool", unary_case(T.blur_pool))
 
     def softmax_case():
         bs, logits = [t(2, 4, 3, 3) for _ in range(3)], t(2, 12, 1, 1)

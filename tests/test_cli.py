@@ -311,6 +311,14 @@ class TestEvalCommand:
             assert row.split("\t")[1] == "inf"
             assert float(row.split("\t")[2]) == 1.0
 
+    def test_empty_manifest_flag_exits_2(self, tmp_path, capsys):
+        # an empty --manifest is refused, not replaced by data.manifest
+        config, _ = _make_dataset(tmp_path / "data")
+        ckpt = _identity_checkpoint(tmp_path, config)
+        assert cli.main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                         "--manifest", ""]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: data.manifest is required\n")
+
     def test_checkpoint_mismatch_exits_2(self, tmp_path, capsys):
         config, _ = _make_dataset(tmp_path / "data")
         ckpt = _identity_checkpoint(tmp_path, config)

@@ -331,6 +331,21 @@ class TestSampling:
             sample_batch(pairs, TrainConfig(patch_size=8, batch=1))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n_pairs, batch_index, message", [
+        (0, 0, "sample_batch needs at least one pair"),
+        (1, -1, "batch_index must lie in [0, 2^64), got -1"),
+        (1, 2**64, f"batch_index must lie in [0, 2^64), got {2**64}"),
+    ], ids=["no_pairs", "negative_index", "index_2_64"])
+    def test_bad_draw_rejected(self, n_pairs, batch_index, message):
+        # numpy's own errors (high <= 0, OverflowError) would name neither
+        with pytest.raises(ContractError) as info:
+            sample_batch(self._pairs(n_pairs), TrainConfig(patch_size=8, batch=1), batch_index)
+        assert str(info.value) == message
+
+    def test_largest_batch_index_draws(self):
+        x, _ = sample_batch(self._pairs(), TrainConfig(patch_size=8, batch=1), 2**64 - 1)
+        assert x.shape == (1, 3, 8, 8)
+
     def test_input_target_alignment(self):
         # identical pair images must give identical patches, flips included
         x, y = sample_batch(self._pairs(), TrainConfig(patch_size=8, batch=8, seed=5))

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import tracemalloc
 import weakref
 
@@ -697,8 +698,8 @@ class TestTapeNodes:
     on the recording, each leaf, the inputs' shapes and the closure."""
 
     @pytest.mark.parametrize("op", [lambda h: T.add(h, h), T.bilinear_upsample2x,
-                                    T.replicate_pad1],
-                             ids=["add", "bilinear_up", "replicate_pad"])
+                                    T.replicate_pad1, T.blur_pool],
+                             ids=["add", "bilinear_up", "replicate_pad", "blur_pool"])
     def test_unread_intermediates_freed_before_backward(self, op):
         x = randt((1, 2, 4, 4), seed=70)
         c = randt((1, 2, 4, 4), seed=71)
@@ -745,8 +746,9 @@ class TestTapeNodes:
     def test_recorded_mrb_forward_holds_under_100_inputs(self):
         # float32, 3 streams, 2 columns, 1x8x32x32: the nodes held 164x the
         # input when each kept its input and output tensors, 86x since each
-        # keeps what its backward reads, and 85x since SKFF's select step is
-        # one node
+        # keeps what its backward reads, 85x since SKFF's select step is one
+        # node, and 84x since each SKFF has one upscale conv; blur_pool as one
+        # node (310 nodes, was 330) keeps it there
         mrb = init_weights(MRB(NetworkConfig(n_streams=3, n_columns=2, base_channels=8)))
         x = Tensor(np.random.default_rng(74).normal(0, 1, (1, 8, 32, 32)).astype(np.float32))
         tracemalloc.start()
@@ -757,7 +759,7 @@ class TestTapeNodes:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape.nodes) == 330
+        assert len(tape.nodes) == 310
         assert held < 100 * x.data.nbytes
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -771,10 +773,10 @@ class TestTapeNodes:
         assert len(tape.nodes) == k + 4
 
     @pytest.mark.parametrize("cfg,batch,nodes", [
-        (RunConfig().network, 4, 93),
+        (RunConfig().network, 4, 89),
         # widths do not change the graph: the 64-channel reference network
         # records as many nodes
-        (NetworkConfig(base_channels=8), 1, 2017),
+        (NetworkConfig(base_channels=8), 1, 1885),
     ], ids=["desk", "reference_topology"])
     def test_network_records_nodes(self, cfg, batch, nodes):
         # the network on a benchmark batch, loss included; traced training
@@ -871,8 +873,6 @@ INPUT_GUARDS = {
                        "expected NCHW input, got (2, 4, 4)"),
     "gap_3d_input": (lambda: T.global_avg_pool(randt((2, 4, 4))),
                      "expected NCHW input, got (2, 4, 4)"),
-    "binomial_2x5": (lambda: T.binomial_stride2(randt((1, 1, 2, 5))),
-                     "binomial_stride2 needs extents >= 3, got 2x5"),
 }
 
 
@@ -990,6 +990,69 @@ class TestReplicatePad:
             loss = T.tsum(T.replicate_pad1(x))
         T.backward(tape, loss)
         assert x.grad[0, 0, 0, 0] == 9.0
+
+
+# SHA-256 of each resampling op's float32 output on randt(shape, seed=100 + i,
+# dtype=np.float32) for the i-th shape, recorded before the ops were
+# rewritten as tap tables: every forward stays bit-identical
+RESAMPLE_SHAPES = [(1, 2, 1, 1), (1, 2, 1, 2), (2, 3, 2, 9), (1, 2, 5, 7), (1, 3, 8, 6), (1, 2, 16, 16)]
+RESAMPLE_DIGESTS = {
+    "blur_pool": [
+        "3a9ea6d6d2e3351e2770ac0e082cbbb9eeb211a97d3c7eb9a69a53116817431e",
+        "5bfabfd6fd69062436af48f73bf6f50d67131a3413221a7d245f85c2f39f77a5",
+        "317b8a948fcce7dccadac1ee3ba4eb18d9783bea59417d291a0f434f2bacc623",
+        "86b0499a3292b6b11a4f4597fc668eeaa13b152cfdaefbdb806fdead31e5b592",
+        "64aad72ea81fd00fe993d82ac061d62fabf916ff6e7b7b93a76ef6b4e45fc3fb",
+        "53b41b01df9f2ba9779da06f4d38a3d653e52584930c70ac3dbc25fa3e8803d3",
+    ],
+    "bilinear_upsample2x": [
+        "14eb09c64a7c9cfa1c354433b623976b6240f7e564f1f88c498d5c7221a42274",
+        "61834f7cffc8828ad7d57e9fa982279541b7a490060bdd52d09fd18baeeb3eb5",
+        "57dabfce4416be282681c04f2a3bf377568efd2a15aa2e7563bbace2f9a1c6be",
+        "bdb86ae1bffdb039b9c740303760ef2a1010fe70ade0b0b6b9a342d5d6dee38b",
+        "0b27f1fc97dc5b4b455fc64f91f5d2874045adc9780fa074dce17ace1f02b6f5",
+        "d3f9f4ed2062c62ce01ebdbcc820fe031ef9063909b9433aa793046086139a92",
+    ],
+    "replicate_pad1": [
+        "a71d0ba7a13a6e78f16ff212e6f762464ddb35027a7fda1f711b3793da73414b",
+        "7a1f2cc8deea3ce1cc5bcfb69f432e3943153057a50350c2d0b857e15837b890",
+        "98417255eca1b4f20488e216edc7ef5f7c0d5c84b858c4bf72358997a58b5313",
+        "b80467304686ddd45da660b2d94b116c5f7d19d803b33fdc6358099da2512204",
+        "9ec3f51c6209d37405a1c15c0b20497e86e1cf0200ef6cd2bae707e353e6251e",
+        "8ca731b1de26e2d0d8c0f6a8cac7178accec4e136eb7c76dc2e11764289d6374",
+    ],
+}
+RESAMPLE_OPS = {"blur_pool": T.blur_pool, "bilinear_upsample2x": T.bilinear_upsample2x,
+                "replicate_pad1": T.replicate_pad1}
+
+
+class TestResampling:
+    """The three resampling ops are tap tables run along H and W; their
+    backwards run the same tables with each tap's slices swapped."""
+
+    @pytest.mark.parametrize("name", RESAMPLE_OPS)
+    def test_forward_digests_pinned(self, name):
+        for i, (shape, digest) in enumerate(zip(RESAMPLE_SHAPES, RESAMPLE_DIGESTS[name])):
+            out = RESAMPLE_OPS[name](randt(shape, seed=100 + i, dtype=np.float32)).data
+            assert out.dtype == np.float32
+            assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() == digest, shape
+
+    @pytest.mark.parametrize("name", RESAMPLE_OPS)
+    def test_backward_is_the_adjoint(self, name):
+        # <op(x), g> == <x, backward(g)>; extents 1 and 2 give the empty and
+        # one-entry slices that the gradient checks (4x4 to 6x6) never reach
+        op = RESAMPLE_OPS[name]
+        for h in range(1, 10):
+            for w in range(1, 10):
+                x = randt((2, 3, h, w), seed=10 * h + w)
+                x.requires_grad = True
+                with Tape() as tape:
+                    y = op(x)
+                    g = randt(y.shape, seed=100 + 10 * h + w)
+                    loss = T.tsum(T.mul(y, g))
+                T.backward(tape, loss)
+                assert np.vdot(x.data, x.grad) == pytest.approx(
+                    np.vdot(y.data, g.data), rel=1e-12), (h, w)
 
 
 def test_determinism_same_seed_bit_identical():
